@@ -635,9 +635,9 @@ def _build_partition(
             f"the {spec.deadline:g}s deadline"
         )
     outages = _baseline_outages(spec, deployment, rng)
-    ids = deployment.registry_ids() if hasattr(deployment, "registry_ids") else []
+    ids = deployment.registry_ids()
     if len(ids) < 2:
-        # Single-registry and non-federated systems have no inter-registry
+        # Single-registry and registry-less systems have no inter-registry
         # links to sever: partition degrades to the table4 plan, which keeps
         # the cross-system conformance battery meaningful.
         return DisruptionPlan(outages=outages)

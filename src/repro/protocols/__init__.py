@@ -6,9 +6,15 @@ One subpackage per modelled system:
   ``frodo2``/``frodo3``: 2-party and 3-party subscription, UDP-only,
   Central/Backup, SRN1/SRN2/SRC1/SRC2, PR1/PR3/PR4/PR5),
 * :mod:`repro.protocols.jini` — Jini with one or two Lookup Services
-  (``jini1``/``jini2``: 3-party remote events over TCP, PR1/PR2/PR3, SRC2),
+  (``jini1``/``jini2``: 3-party remote events over TCP, PR1/PR2/PR3, SRC2)
+  and its generalisation to K federated Lookup Services (the ``jini``
+  family, ``jini@k=...``: push/pull/gossip propagation), one class per role,
 * :mod:`repro.protocols.upnp` — UPnP (``upnp``: 2-party GENA eventing over
   TCP, invalidation-based notification, PR4/PR5).
+
+:mod:`repro.protocols.federation` is not a system of its own: it holds the
+registry graph and the cross-registry consistency metrics the ``jini``
+family uses.
 
 :mod:`repro.protocols.base` defines the :class:`~repro.protocols.base.ProtocolDeployment`
 interface the experiment harness drives, :mod:`repro.protocols.registry` maps

@@ -68,6 +68,10 @@ class ProtocolDeployment:
         """Identifiers of every node (the population for failure injection)."""
         return [node.node_id for node in self.all_nodes]
 
+    def registry_ids(self) -> List[str]:
+        """Registry node ids in build order (for Jini, index 0 is the home registry)."""
+        return [registry.node_id for registry in self.registries]
+
     @property
     def primary_manager(self) -> DiscoveryNode:
         """The Manager whose service changes in the experiment."""

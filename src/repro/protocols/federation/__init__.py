@@ -1,30 +1,21 @@
-"""Federated registry topologies (K Lookup Services on a registry graph).
+"""Federated registry topologies: the registry graph and its metrics.
 
-The paper's two-registry Jini variant generalises here: K registries are
-connected by a topology (full mesh, star, ring, line), users are partitioned
-or multi-homed across them, and registrations/updates propagate
-inter-registry via a pluggable policy — eager push (the paper's replicated
-model), pull-on-miss with a cache TTL, or periodic gossip — with stale-entry
-fallback and cross-registry consistency metrics.
+The paper's two-registry Jini variant generalises to K Lookup Services
+connected by a topology (full mesh, star, ring, line).  The node behaviour —
+eager push, pull-on-miss with a cache TTL, periodic gossip, the stale-entry
+fallback and home-pinned Managers and Users — lives in the Jini roles
+themselves (:mod:`repro.protocols.jini`), and
+:func:`repro.protocols.jini.builder.build_federation` is the single
+constructor of the whole Jini family.  This package holds only what does not
+depend on Jini:
 
-``build_federation`` is the single constructor of the whole Jini family:
-the legacy ``jini1``/``jini2`` systems are frozen aliases of
-``jini@k=1``/``jini@k=2`` and the legacy ``build_jini`` delegates here.
+* :mod:`~repro.protocols.federation.topology` — the registry graph
+  (adjacency lists and diameters);
+* :mod:`~repro.protocols.federation.monitor` — the cross-registry
+  consistency metrics (staleness windows, convergence time, per-registry m').
 """
 
-from repro.protocols.federation.builder import (
-    FEDERATION_PARAM_DEFAULTS,
-    FederatedJiniDeployment,
-    build_federation,
-)
 from repro.protocols.federation.monitor import FederationMonitor
 from repro.protocols.federation.topology import diameter, neighbor_indices
 
-__all__ = [
-    "FEDERATION_PARAM_DEFAULTS",
-    "FederatedJiniDeployment",
-    "FederationMonitor",
-    "build_federation",
-    "diameter",
-    "neighbor_indices",
-]
+__all__ = ["FederationMonitor", "diameter", "neighbor_indices"]

@@ -18,9 +18,17 @@ lookups), PR1 (events fire on re-registration — future registrations only),
 PR2 (clients purge a silent Lookup Service and rediscover via multicast) and
 PR3 (a renewal of a purged event registration is answered with an error that
 triggers re-registration).
+
+The same three roles model the federated generalisation (``jini@k=...``):
+K Lookup Services on a registry graph propagate the change by eager push,
+pull-on-miss or gossip, and a Manager or User may be pinned to one home
+registry.  :func:`~repro.protocols.jini.builder.build_federation` is the
+only constructor; ``jini1``/``jini2`` are frozen aliases of its push-mode
+``k=1``/``k=2`` instances.  The registry graph and the cross-registry
+metrics live in :mod:`repro.protocols.federation`.
 """
 
-from repro.protocols.jini.builder import JiniDeployment, build_jini
+from repro.protocols.jini.builder import JiniDeployment, build_federation
 from repro.protocols.jini.config import JiniConfig
 
-__all__ = ["JiniConfig", "JiniDeployment", "build_jini"]
+__all__ = ["JiniConfig", "JiniDeployment", "build_federation"]

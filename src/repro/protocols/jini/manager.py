@@ -15,6 +15,12 @@ Recovery behaviour:
 * A missed change is repaired when the Lookup Service becomes reachable
   again: announcements from a stale Lookup Service re-send the update, and
   version numbers on renewals let the Lookup Service request it (SRC2).
+
+By default the provider is *multi-homed*: it registers with every
+discovered Lookup Service and pushes its update to each of them itself (the
+paper's replicated model).  Given a ``home`` registry (federation pull and
+gossip modes) it is *single-homed*: it ignores announcements from every
+other registry and leaves propagation to the federation.
 """
 
 from __future__ import annotations
@@ -64,11 +70,14 @@ class JiniServiceProvider(DiscoveryNode):
         config: JiniConfig,
         sd: ServiceDescription,
         tracker: Optional[ConsistencyTracker] = None,
+        home: Optional[Address] = None,
     ) -> None:
         super().__init__(sim, network, node_id, NodeRole.MANAGER, transports)
         self.config = config.validate()
         self.sd = sd
         self.tracker = tracker
+        #: The only registry to register with; ``None`` = multi-homed.
+        self.home = home
         self.registrars: Dict[Address, RegistrarState] = {}
 
         self._discovery_timer = PeriodicTimer(sim, config.discovery_interval, self._discovery_tick)
@@ -105,6 +114,8 @@ class JiniServiceProvider(DiscoveryNode):
         self._learn_registrar(message.payload["registrar"])
 
     def _learn_registrar(self, addr: Address) -> None:
+        if self.home is not None and addr != self.home:
+            return
         state = self.registrars.get(addr)
         if state is None:
             state = RegistrarState()

@@ -16,6 +16,12 @@ Recovery behaviour:
 * PR3 — an ``event_renew_error`` (the Registry purged our event
   registration) triggers a fresh registration; its ack carries the current
   version, and SRC2 then pulls the missed update.
+
+A client given a ``home`` registry (``assign=partition`` federations) is
+pinned to it and ignores every other: its lookups, event registrations and
+renewals all go through its partition's registry, so an update only reaches
+it once the federation has propagated the change there — exactly the
+consistency cost the cross-registry metrics measure.
 """
 
 from __future__ import annotations
@@ -60,11 +66,14 @@ class JiniClient(DiscoveryNode):
         config: JiniConfig,
         query: ServiceQuery,
         tracker: Optional[ConsistencyTracker] = None,
+        home: Optional[Address] = None,
     ) -> None:
         super().__init__(sim, network, node_id, NodeRole.USER, transports)
         self.config = config.validate()
         self.query = query
         self.tracker = tracker
+        #: The only registry to use; ``None`` = multi-homed.
+        self.home = home
 
         self.registrars: Dict[Address, ClientRegistrarState] = {}
         self.service_id: Optional[str] = None
@@ -112,6 +121,8 @@ class JiniClient(DiscoveryNode):
         self._learn_registrar(message.payload["registrar"])
 
     def _learn_registrar(self, addr: Address) -> None:
+        if self.home is not None and addr != self.home:
+            return
         state = self.registrars.get(addr)
         if state is None:
             state = ClientRegistrarState(last_heard=self.now)

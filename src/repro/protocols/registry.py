@@ -384,7 +384,7 @@ def _register_standard_systems() -> None:
     import dataclasses
 
     from repro.core.recovery import expected_update_messages
-    from repro.protocols.federation.builder import FEDERATION_PARAM_DEFAULTS, build_federation
+    from repro.protocols.jini.builder import FEDERATION_PARAM_DEFAULTS, build_federation
     from repro.protocols.frodo.builder import build_frodo
     from repro.protocols.frodo.config import FrodoConfig, SubscriptionMode
     from repro.protocols.upnp.builder import build_upnp

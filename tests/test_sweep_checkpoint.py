@@ -23,6 +23,7 @@ from repro.experiments import (
 )
 from repro.experiments.report import sweep_to_dict, to_json
 from repro.experiments.sweep import CHECKPOINT_VERSION
+from repro.protocols.frodo.config import FrodoConfig
 from repro.protocols.registry import DeploymentRegistry
 from repro.__main__ import main
 
@@ -125,7 +126,9 @@ def test_checkpoint_with_different_builder_options_is_rejected(tmp_path):
     # Same grid, different deployment configuration: must not mix results.
     ck = tmp_path / "ck.jsonl"
     save_checkpoint(str(ck), SPEC, {})
-    tweaked = replace(SPEC, builder_options={"n_registries": 2})
+    tweaked = replace(SPEC, builder_options={"config": FrodoConfig(enable_src2=False)})
+    # The option is one the frodo3 builder really takes, not an ignored key.
+    assert sweep(replace(tweaked, failure_rates=(0.0,), runs_per_cell=1)).runs
     with pytest.raises(CheckpointMismatchError):
         load_checkpoint(str(ck), tweaked)
 
