@@ -6,7 +6,8 @@ Every FRODO / Jini / UPnP entity (User, Manager, Registry) derives from
 * an :class:`~repro.net.interfaces.Endpoint` on the shared network,
 * the transports the protocol uses (UDP, TCP, multicast),
 * message dispatch: an incoming message of kind ``"foo_bar"`` is routed to
-  the method ``handle_foo_bar(message)`` if it exists,
+  the method ``handle_foo_bar(message)`` if it exists, and the endpoint
+  subscribes to multicast kinds by the same names (:attr:`DiscoveryNode.handled_kinds`),
 * trace helpers.
 """
 
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, FrozenSet, Optional
 
 from repro.net.addressing import Address, MULTICAST_GROUP
 from repro.net.interfaces import Endpoint
@@ -60,6 +61,17 @@ class DiscoveryNode(Process):
     #: Protocol tag stamped on every message this node sends ("frodo", "jini", "upnp").
     protocol: str = "generic"
 
+    #: Kinds this class has a ``handle_<kind>`` method for, inherited ones
+    #: included.  Derived once per class from the method names; the node's
+    #: endpoint subscribes to exactly these multicast kinds.
+    handled_kinds: FrozenSet[str] = frozenset()
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        cls.handled_kinds = frozenset(
+            name[len("handle_") :] for name in dir(cls) if name.startswith("handle_")
+        )
+
     def __init__(
         self,
         sim: Simulator,
@@ -73,7 +85,7 @@ class DiscoveryNode(Process):
         self.node_id = node_id
         self.role = role
         self.transports = transports
-        self.endpoint = Endpoint(node_id, handler=self._on_message)
+        self.endpoint = Endpoint(node_id, handler=self._on_message, kinds=self.handled_kinds)
         #: kind -> bound handler (or ``None`` for unhandled kinds), filled
         #: lazily by :meth:`_on_message`; message dispatch is per delivery.
         self._dispatch: Dict[str, Optional[Callable[[Message], None]]] = {}

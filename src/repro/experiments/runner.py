@@ -128,9 +128,22 @@ class ExperimentRunner:
 
     # ------------------------------------------------------------------ execution
     def run(self, spec: ScenarioSpec) -> RunResult:
-        """Execute one run and return its :class:`~repro.core.metrics.RunResult`."""
+        """Execute one run and return its :class:`~repro.core.metrics.RunResult`.
+
+        Unlike :meth:`execute`, nobody sees the context afterwards, so the
+        finished stack is torn down here.  Nodes, endpoints, calendar
+        entries and send records refer to one another in cycles: left alone,
+        a sweep's dead cells pile up until a full garbage collection, which
+        raises peak memory, and a ``gc.collect()`` per cell would cost more
+        than a small cell's run.  Emptying the calendar and the network
+        frees most of the graph by reference counting instead.
+        """
         context = self.setup(spec)
-        return self.execute(context)
+        try:
+            return self.execute(context)
+        finally:
+            context.sim.clear()
+            context.network.close()
 
     def execute(self, context: RunContext) -> RunResult:
         """Run an assembled :class:`RunContext` to the deadline and collect results.

@@ -9,7 +9,7 @@ run; while a direction is down, messages in that direction are lost silently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import AbstractSet, Any, Callable, Optional
 
 from repro.net.addressing import Address
 from repro.net.messages import Message
@@ -118,6 +118,12 @@ class Endpoint:
     through an endpoint; the network delivers messages by calling
     :meth:`deliver`, which forwards to the registered handler only when the
     receiver interface is up.
+
+    ``kinds`` is the set of message kinds the handler consumes: the network
+    posts a multicast copy only to endpoints whose set holds its kind.
+    ``None`` (the default) subscribes to every kind, which is what a generic
+    handler such as ``inbox.append`` needs.  Unicast ignores it.  Set it
+    before the endpoint joins a network.
     """
 
     def __init__(
@@ -125,14 +131,12 @@ class Endpoint:
         address: Address,
         handler: Optional[Callable[[Message], Any]] = None,
         interface: Optional[NetworkInterface] = None,
+        kinds: Optional[AbstractSet[str]] = None,
     ) -> None:
         self.address = address
         self.interface = interface if interface is not None else NetworkInterface(address)
         self._handler = handler
-
-    def bind(self, handler: Callable[[Message], Any]) -> None:
-        """Attach (or replace) the receive handler."""
-        self._handler = handler
+        self.kinds = kinds
 
     def deliver(self, message: Message) -> bool:
         """Deliver ``message`` to the handler if the receiver is up.

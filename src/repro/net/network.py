@@ -8,13 +8,26 @@ sending and the receiving side, and records every transmission attempt in a
 Transports (:mod:`repro.net.udp`, :mod:`repro.net.tcp`,
 :mod:`repro.net.multicast`) are thin policies built on top of the two
 primitives :meth:`Network.transmit_unicast` and :meth:`Network.transmit_multicast`.
+
+Multicast is interest-filtered.  Each endpoint declares the message kinds it
+handles (:attr:`~repro.net.interfaces.Endpoint.kinds`, ``None`` for all), and
+the network keeps a per-kind receiver table: for every kind multicast so far,
+every endpoint in join order, with non-subscribers marked.  The table is
+built lazily and dropped on every :meth:`Network.join` / :meth:`Network.leave`
+(churn rejoin goes through ``join``).  A multicast copy still draws one
+transmission delay per non-sender endpoint, in join order, so the random
+streams are the same as unfiltered delivery; it posts a delivery only to
+subscribers and counts the rest in :attr:`Network.filtered`.  A message a
+receiver has no handler for would have been dropped on arrival, so every
+result is the same as broadcasting to all endpoints; only the event and
+delivery counts shrink.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.net.addressing import Address, MULTICAST_GROUP, validate_address
 from repro.net.interfaces import Endpoint
@@ -49,6 +62,13 @@ class Network:
         self.config = config if config is not None else NetworkConfig()
         self.stats = MessageStats()
         self._endpoints: Dict[Address, Endpoint] = {}
+        # kind -> [(address, endpoint or None for a non-subscriber)] over
+        # every endpoint in join order; filled lazily per multicast kind and
+        # dropped on every membership change.
+        self._receivers: Dict[str, List[Tuple[Address, Optional[Endpoint]]]] = {}
+        #: Multicast deliveries not posted because the receiver does not
+        #: handle the kind (each still drew its transmission delay).
+        self.filtered = 0
         #: Run-scoped message-id source: every message of a run draws from
         #: this counter (not the process-wide fallback), so ids are
         #: deterministic per run regardless of what ran earlier in-process.
@@ -86,11 +106,13 @@ class Network:
         if address in self._endpoints:
             raise ValueError(f"address already joined: {address!r}")
         self._endpoints[address] = endpoint
+        self._receivers.clear()
         return endpoint
 
     def leave(self, address: Address) -> None:
         """Remove an endpoint from the network."""
-        self._endpoints.pop(address, None)
+        if self._endpoints.pop(address, None) is not None:
+            self._receivers.clear()
 
     def endpoint(self, address: Address) -> Endpoint:
         """Return the endpoint registered under ``address``."""
@@ -107,6 +129,16 @@ class Network:
     def endpoints(self) -> Iterable[Endpoint]:
         """All registered endpoints, in join order (telemetry aggregation)."""
         return self._endpoints.values()
+
+    def _receivers_of(self, kind: str) -> List[Tuple[Address, Optional[Endpoint]]]:
+        """Every endpoint in join order, ``None`` where it does not handle ``kind``."""
+        table = self._receivers.get(kind)
+        if table is None:
+            table = self._receivers[kind] = [
+                (address, endpoint if endpoint.kinds is None or kind in endpoint.kinds else None)
+                for address, endpoint in self._endpoints.items()
+            ]
+        return table
 
     # ------------------------------------------------------------------ lossy links
     def push_loss(self, drop_probability: float) -> None:
@@ -283,7 +315,7 @@ class Network:
         copies: int = 1,
         record: bool = True,
     ) -> bool:
-        """Transmit a multicast message to every other endpoint.
+        """Transmit a multicast message to every other endpoint that handles its kind.
 
         ``copies`` models the redundant transmissions used by UPnP and Jini
         announcements (Table 3); copies are spaced by
@@ -342,9 +374,14 @@ class Network:
         sender = message.sender
         loss_p = self._loss_p
         cuts = self._cut_links
+        receivers = self._receivers_of(message.kind)
+        filtered = 0
+        # Every non-sender endpoint goes through the same cut check and loss
+        # and delay draws as under broadcast delivery; only the post is skipped
+        # for a non-subscriber (``endpoint is None``).
         if loss_p or cuts:
             loss_rand = self._loss_rand
-            for address, endpoint in self._endpoints.items():
+            for address, endpoint in receivers:
                 if address == sender:
                     continue
                 if cuts and frozenset((sender, address)) in cuts:
@@ -353,13 +390,36 @@ class Network:
                 if loss_p and loss_rand() < loss_p:
                     self.link_losses += 1
                     continue
-                post(min_delay + delay_span * rand(), endpoint.deliver, message)
-        else:
-            for address, endpoint in self._endpoints.items():
-                if address == sender:
+                delay = min_delay + delay_span * rand()
+                if endpoint is None:
+                    filtered += 1
                     continue
-                post(min_delay + delay_span * rand(), endpoint.deliver, message)
+                post(delay, endpoint.deliver, message)
+        else:
+            for address, endpoint in receivers:
+                if endpoint is None:
+                    if address != sender:
+                        rand()
+                        filtered += 1
+                elif address != sender:
+                    post(min_delay + delay_span * rand(), endpoint.deliver, message)
+        self.filtered += filtered
         return True
+
+    def close(self) -> None:
+        """Tear down a finished run: detach every endpoint and drop all records.
+
+        Handlers, endpoints and nodes refer to each other in cycles that only
+        a full garbage collection would reclaim; cutting the handlers and
+        emptying the endpoint map, the receiver table and the send records
+        lets reference counting free the run at once.  Read the telemetry
+        before closing.
+        """
+        for endpoint in self._endpoints.values():
+            endpoint._handler = None
+        self._endpoints.clear()
+        self._receivers.clear()
+        self.stats.clear()
 
     # ------------------------------------------------------------------ queries
     def reachable_nodes(self, sender: Address) -> Iterable[Address]:

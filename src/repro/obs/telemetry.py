@@ -17,9 +17,12 @@ Field glossary (see also EXPERIMENTS.md, "Observability")
 ---------------------------------------------------------
 ``engine.events_scheduled``
     Total calendar keys drawn (cancellable events + fire-and-forget posts +
-    wheel timers; the shared sequence counter counts them all).
+    wheel timers; the shared sequence counter counts them all).  Multicast
+    is interest-filtered, so no key is drawn for a copy to an endpoint that
+    does not handle its kind (see :mod:`repro.net.network`).
 ``engine.events_fired``
-    Callbacks actually executed by the run loop.
+    Callbacks actually executed by the run loop (filtered multicast copies
+    are never posted, so they are not among them).
 ``engine.events_cancelled``
     Cancellations of calendar events (timer cancellations count separately).
 ``engine.heap_hwm``
@@ -43,6 +46,9 @@ Field glossary (see also EXPERIMENTS.md, "Observability")
     the metric *y* additionally applies the change-time window).
 ``net.delivered``
     Messages that reached a receiver handler (receiver interface up).
+    Multicast copies to endpoints that do not handle their kind are not
+    posted and count neither here nor in ``net.dropped_rx``; the network
+    counts them in ``Network.filtered``, which is not part of RunTelemetry.
 ``net.dropped_tx`` / ``net.dropped_rx``
     Transmission attempts suppressed by a downed transmitter / deliveries
     suppressed by a downed receiver, summed over all interfaces.

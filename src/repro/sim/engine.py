@@ -291,6 +291,11 @@ class Simulator:
         """Request the current :meth:`run` loop to stop after the current event."""
         self._stopped = True
 
+    def clear(self) -> None:
+        """Drop every pending event and timer (teardown of a finished run)."""
+        self._queue.clear()
+        self.timers.clear()
+
     # ------------------------------------------------------------------ helpers
     def call_soon(self, callback: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule ``callback`` at the current time (after pending same-time events)."""

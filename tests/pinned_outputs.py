@@ -1,0 +1,112 @@
+"""Shared helpers for the tests that compare runs against pinned outputs.
+
+Multicast is interest-filtered: a copy is posted only to endpoints that
+handle its kind.  Filtering never changes a result, only the work done, so
+the tests compare result fields against the pinned fixtures and leave out
+the cost counters that count that work.  :func:`broadcast_delivery` restores
+the unfiltered reference (every endpoint receives every kind), under which
+the fixtures still match byte for byte.  It exists only here: the program
+has no option for it.
+"""
+
+import contextlib
+import copy
+
+from repro.net.network import Network
+
+FIXTURE_DIR = "tests/data"
+
+#: The grid the pre-scenario fixtures were captured with (seed 0, runs 2).
+TABLE4_ARGS = ["--system", "frodo3,upnp,jini2", "--rates", "0,20,40", "--runs", "2"]
+
+#: Per-run sweeps of the non-legacy Jini family, pinned before the Jini
+#: roles and their federated subclasses were merged: scenario ->
+#: (fixture path, sweep arguments).
+FAMILY_FIXTURES = {
+    "table4": (
+        f"{FIXTURE_DIR}/jini_family_pre_merge_sweep.json",
+        [
+            "--system",
+            "jini@k=8",
+            "--system",
+            "jini@k=4,mode=pull",
+            "--system",
+            "jini@assign=partition,k=4,mode=gossip,topology=ring",
+        ],
+    ),
+    "partition": (
+        f"{FIXTURE_DIR}/jini_family_pre_merge_partition_sweep.json",
+        [
+            "--system",
+            "jini@k=4,mode=pull",
+            "--system",
+            "jini@k=4,mode=gossip",
+            "--scenario",
+            "partition",
+        ],
+    ),
+}
+
+#: RunTelemetry counters that count calendar events and deliveries, which
+#: interest filtering lowers: section -> keys.
+COST_TELEMETRY = {
+    "engine": ("events_scheduled", "events_fired", "heap_hwm"),
+    "net": ("delivered", "dropped_rx"),
+}
+
+
+def strip_scenario_telemetry(data):
+    """Remove the fields the scenario layer added to per-run telemetry.
+
+    The simulation itself must be untouched by the scenario layer; only the
+    *reporting* grew (schema version 2: a ``failures`` section and the
+    ``net.link_losses`` counter).  Everything else must match the pre-PR
+    fixture exactly.
+    """
+    for run in data["runs"]:
+        telemetry = run["details"]["telemetry"]
+        assert telemetry["version"] == 2
+        telemetry["version"] = 1
+        telemetry.pop("failures", None)
+        assert telemetry["net"].pop("link_losses") == 0  # table4 has no loss windows
+    return data
+
+
+def without_cost_counters(run):
+    """A copy of one run's dict without the counters filtering lowers."""
+    run = copy.deepcopy(run)
+    details = run["details"]
+    del details["executed_events"]
+    telemetry = details["telemetry"]
+    for section, keys in COST_TELEMETRY.items():
+        for key in keys:
+            del telemetry[section][key]
+    return run
+
+
+def results_only(data):
+    """A per-run sweep dict with every run's cost counters left out."""
+    data = dict(data)
+    data["runs"] = [without_cost_counters(run) for run in data["runs"]]
+    return data
+
+
+@contextlib.contextmanager
+def broadcast_delivery():
+    """Deliver every multicast copy to every endpoint, as before filtering.
+
+    Every endpoint that joins a network meanwhile subscribes to all kinds
+    (``kinds = None``).  It patches this process only, so use it with
+    serial runs.
+    """
+    join = Network.join
+
+    def join_everything(self, endpoint):
+        endpoint.kinds = None
+        return join(self, endpoint)
+
+    Network.join = join_everything
+    try:
+        yield
+    finally:
+        Network.join = join

@@ -27,6 +27,23 @@ def test_zero_failure_run_updates_every_user():
     assert result.details["n_outages"] == 0
 
 
+def test_run_releases_the_finished_stack(monkeypatch):
+    contexts = []
+    setup = ExperimentRunner.setup
+
+    def capture(runner, spec):
+        contexts.append(setup(runner, spec))
+        return contexts[-1]
+
+    monkeypatch.setattr(ExperimentRunner, "setup", capture)
+    result = ExperimentRunner().run(ScenarioSpec(system="upnp", failure_rate=0.2, seed=1))
+    (context,) = contexts
+    assert result.details["telemetry"]["net"]["delivered"] > 0  # read before release
+    assert context.sim.pending_events == 0
+    assert list(context.network.endpoints()) == [] and len(context.network.stats) == 0
+    assert all(node.endpoint._handler is None for node in context.deployment.all_nodes)
+
+
 def test_zero_failure_sweep_metrics():
     spec = SweepSpec(systems=("frodo3",), failure_rates=(0.0,), runs_per_cell=3)
     result = sweep(spec)

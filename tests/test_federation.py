@@ -6,9 +6,10 @@ Covers the federation tentpole end to end:
   K in {1, 2, 4, 8};
 * the legacy ``jini1``/``jini2`` aliases stay byte-identical to the
   pre-redesign sweep output (serial and ``--jobs 2``);
-* the pull, gossip, partitioned and large-K members of the family stay
-  byte-identical to the sweep output pinned before the Jini roles and their
-  federated subclasses were merged (serial and ``--jobs 2``);
+* the pull, gossip, partitioned and large-K members of the family match
+  every result field of the sweep output pinned before the Jini roles and
+  their federated subclasses were merged (serial and ``--jobs 2``; byte for
+  byte under broadcast delivery in ``test_interest_filter.py``);
 * partitioned vs multi-homed user assignment is deterministic across
   executors (``--jobs 1`` vs ``--jobs 4``);
 * pull/gossip bounded-staleness invariants (cache-TTL and
@@ -20,6 +21,7 @@ import json
 
 import pytest
 
+from pinned_outputs import FAMILY_FIXTURES, results_only
 from repro.experiments import ExperimentRunner, ScenarioSpec
 from repro.protocols.federation.topology import diameter, max_degree, neighbor_indices
 from repro.protocols.registry import SYSTEMS
@@ -27,33 +29,6 @@ from repro.__main__ import main
 
 FIXTURE = "tests/data/jini_alias_pre_pr_sweep.json"
 ALIAS_ARGS = ["--system", "jini1,jini2", "--rates", "0,20", "--runs", "2"]
-
-#: Per-run sweeps of the non-legacy family, pinned before the merge:
-#: fixture path -> sweep arguments.
-FAMILY_FIXTURES = {
-    "table4": (
-        "tests/data/jini_family_pre_merge_sweep.json",
-        [
-            "--system",
-            "jini@k=8",
-            "--system",
-            "jini@k=4,mode=pull",
-            "--system",
-            "jini@assign=partition,k=4,mode=gossip,topology=ring",
-        ],
-    ),
-    "partition": (
-        "tests/data/jini_family_pre_merge_partition_sweep.json",
-        [
-            "--system",
-            "jini@k=4,mode=pull",
-            "--system",
-            "jini@k=4,mode=gossip",
-            "--scenario",
-            "partition",
-        ],
-    ),
-}
 
 N_USERS = 5
 GOSSIP_INTERVAL = 120.0
@@ -150,15 +125,18 @@ def test_alias_sweep_byte_identical_to_pre_pr_fixture(tmp_path):
 
 @pytest.mark.parametrize("scenario", sorted(FAMILY_FIXTURES))
 def test_family_sweep_byte_identical_to_pre_merge_fixture(tmp_path, scenario):
+    """Serial and ``--jobs 2`` are byte-identical and match every result
+    field of the fixture; the fixture bytes themselves are reproduced under
+    broadcast delivery in test_interest_filter.py."""
     fixture, systems = FAMILY_FIXTURES[scenario]
     argv = ["sweep", *systems, "--rates", "0,20", "--runs", "2", "--per-run"]
     serial = tmp_path / "serial.json"
     jobs2 = tmp_path / "jobs2.json"
     assert main([*argv, "--out", str(serial)]) == 0
     assert main([*argv, "--jobs", "2", "--out", str(jobs2)]) == 0
-    expected = open(fixture, "rb").read()
-    assert serial.read_bytes() == expected
-    assert jobs2.read_bytes() == expected
+    assert serial.read_bytes() == jobs2.read_bytes()
+    expected = json.loads(open(fixture).read())
+    assert results_only(json.loads(serial.read_text())) == results_only(expected)
 
 
 def test_frozen_alias_rejects_options_from_the_cli(tmp_path, capsys):

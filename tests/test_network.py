@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.discovery.node import DiscoveryNode, NodeRole, Transports
 from repro.net.addressing import MULTICAST_GROUP
+from repro.net.failures import FailureInjector, NodeChurn
 from repro.net.interfaces import Endpoint
 from repro.net.messages import Message
 from repro.net.network import Network
@@ -137,3 +139,89 @@ def test_duplicate_join_rejected():
     sim, network, _ = make_network(2)
     with pytest.raises(ValueError):
         network.join(Endpoint("node-0", handler=lambda m: None))
+
+
+# --------------------------------------------------------------------------- interest filtering
+class _Pinger(DiscoveryNode):
+    def __init__(self, sim, network, node_id):
+        super().__init__(sim, network, node_id, NodeRole.USER, Transports())
+        self.heard = []
+
+    def handle_ping(self, message):
+        self.heard.append((self.now, message.kind))
+
+
+class _PingPonger(_Pinger):
+    def handle_pong(self, message):
+        self.heard.append((self.now, message.kind))
+
+
+def test_endpoint_without_declared_kinds_receives_every_multicast_kind():
+    sim, network, inboxes = make_network(3)
+    for kind in ("ping", "pong", "anything_else"):
+        network.transmit_multicast(msg("node-0", MULTICAST_GROUP, kind=kind))
+    sim.run()
+    for address in ("node-1", "node-2"):
+        assert sorted(m.kind for m in inboxes[address]) == ["anything_else", "ping", "pong"]
+    assert network.filtered == 0
+
+
+def test_multicast_posts_only_to_subscribers_with_unchanged_delays():
+    def arrivals(subscribe):
+        sim, network, inboxes = make_network(2)
+        node = _Pinger(sim, network, "pinger")
+        if not subscribe:
+            node.endpoint.kinds = None
+        # A generic receiver after the filtered one: its delay must not move.
+        late = []
+        network.join(Endpoint("late", handler=lambda m: late.append((sim.now, m.kind))))
+        for kind in ("pong", "ping", "pong"):
+            network.transmit_multicast(msg("node-0", MULTICAST_GROUP, kind=kind))
+        sim.run()
+        return node.heard, late, network.filtered, sim.executed_events
+
+    heard, late, filtered, events = arrivals(subscribe=True)
+    ref_heard, ref_late, ref_filtered, ref_events = arrivals(subscribe=False)
+    assert [kind for _, kind in heard] == ["ping"]
+    assert heard == ref_heard and late == ref_late
+    assert (filtered, ref_filtered) == (2, 0)
+    assert ref_events - events == 2
+
+
+def test_subclass_inherits_parent_handler_kinds():
+    assert DiscoveryNode.handled_kinds == frozenset()
+    assert _Pinger.handled_kinds == {"ping"}
+    assert _PingPonger.handled_kinds == {"ping", "pong"}
+    sim, network, _ = make_network(1)
+    node = _PingPonger(sim, network, "child")
+    assert node.endpoint.kinds == {"ping", "pong"}
+    network.transmit_multicast(msg("node-0", MULTICAST_GROUP, kind="ping"))
+    network.transmit_multicast(msg("node-0", MULTICAST_GROUP, kind="pong"))
+    network.transmit_multicast(msg("node-0", MULTICAST_GROUP, kind="other"))
+    sim.run()
+    assert [kind for _, kind in node.heard] == ["ping", "pong"]
+    assert network.filtered == 1
+
+
+def test_churned_node_receives_nothing_away_and_its_kinds_after_rejoin():
+    sim, network, inboxes = make_network(2)
+    node = _Pinger(sim, network, "pinger")
+    injector = FailureInjector(
+        sim,
+        network,
+        [],
+        churn=[NodeChurn(node="pinger", leave=1.0, rejoin=2.0)],
+        node_resolver={"pinger": node}.get,
+    )
+    node.start()
+    injector.start()
+    for at in (0.5, 1.5, 2.5):
+        for kind in ("ping", "pong"):
+            sim.schedule_at(at, network.transmit_multicast, msg("node-0", MULTICAST_GROUP, kind))
+    sim.run()
+    assert injector.departed == injector.rejoined == ["pinger"]
+    assert [(int(when), kind) for when, kind in node.heard] == [(0, "ping"), (2, "ping")]
+    # Nothing was even posted to the departed endpoint.
+    assert node.endpoint.interface.counters.received == 2
+    # The generic receiver heard every copy throughout.
+    assert len(inboxes["node-1"]) == 6

@@ -15,6 +15,7 @@ import json
 
 import pytest
 
+from pinned_outputs import FIXTURE_DIR, TABLE4_ARGS, results_only, strip_scenario_telemetry
 from repro.experiments import (
     SCENARIOS,
     CheckpointMismatchError,
@@ -35,10 +36,6 @@ from repro.experiments.sweep import CHECKPOINT_VERSION
 from repro.net.failures import DisruptionPlan
 from repro.protocols.registry import SYSTEMS
 from repro.__main__ import main
-
-FIXTURE_DIR = "tests/data"
-#: The grid both pre-PR fixtures were captured with (seed 0, runs 2).
-FIXTURE_ARGS = ["--system", "frodo3,upnp,jini2", "--rates", "0,20,40", "--runs", "2"]
 
 
 # --------------------------------------------------------------------------- registry
@@ -188,30 +185,13 @@ def test_checkpoints_from_different_scenarios_do_not_mix(tmp_path):
 
 
 # --------------------------------------------------------------------------- byte identity
-def _strip_scenario_telemetry(data):
-    """Remove the fields the scenario layer added to per-run telemetry.
-
-    The simulation itself must be untouched by the scenario layer; only the
-    *reporting* grew (schema version 2: a ``failures`` section and the
-    ``net.link_losses`` counter).  Everything else must match the pre-PR
-    fixture exactly.
-    """
-    for run in data["runs"]:
-        telemetry = run["details"]["telemetry"]
-        assert telemetry["version"] == 2
-        telemetry["version"] = 1
-        telemetry.pop("failures", None)
-        assert telemetry["net"].pop("link_losses") == 0  # table4 has no loss windows
-    return data
-
-
 def test_default_sweep_is_byte_identical_to_pre_scenario_fixture(tmp_path):
     serial = tmp_path / "serial.json"
     jobs2 = tmp_path / "jobs2.json"
     explicit = tmp_path / "explicit.json"
-    assert main(["sweep", *FIXTURE_ARGS, "--out", str(serial)]) == 0
-    assert main(["sweep", *FIXTURE_ARGS, "--jobs", "2", "--out", str(jobs2)]) == 0
-    assert main(["sweep", *FIXTURE_ARGS, "--scenario", "table4", "--out", str(explicit)]) == 0
+    assert main(["sweep", *TABLE4_ARGS, "--out", str(serial)]) == 0
+    assert main(["sweep", *TABLE4_ARGS, "--jobs", "2", "--out", str(jobs2)]) == 0
+    assert main(["sweep", *TABLE4_ARGS, "--scenario", "table4", "--out", str(explicit)]) == 0
     fixture = open(f"{FIXTURE_DIR}/table4_pre_pr_sweep.json", "rb").read()
     assert serial.read_bytes() == fixture
     assert jobs2.read_bytes() == fixture
@@ -219,11 +199,16 @@ def test_default_sweep_is_byte_identical_to_pre_scenario_fixture(tmp_path):
 
 
 def test_default_per_run_output_matches_fixture_modulo_telemetry_schema(tmp_path):
+    """Every result field matches the fixture; the cost counters interest
+    filtering lowers are compared in test_interest_filter.py instead."""
     out = tmp_path / "per_run.json"
-    assert main(["sweep", *FIXTURE_ARGS, "--per-run", "--out", str(out)]) == 0
-    produced = _strip_scenario_telemetry(json.loads(out.read_text()))
+    jobs2 = tmp_path / "per_run_jobs2.json"
+    assert main(["sweep", *TABLE4_ARGS, "--per-run", "--out", str(out)]) == 0
+    assert main(["sweep", *TABLE4_ARGS, "--per-run", "--jobs", "2", "--out", str(jobs2)]) == 0
+    assert out.read_bytes() == jobs2.read_bytes()
+    produced = strip_scenario_telemetry(json.loads(out.read_text()))
     fixture = json.loads(open(f"{FIXTURE_DIR}/table4_pre_pr_per_run.json").read())
-    assert produced == fixture
+    assert results_only(produced) == results_only(fixture)
 
 
 # --------------------------------------------------------------------------- determinism
