@@ -238,13 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="times to re-run a failed cell before quarantining it (default: 0)",
     )
     sweep_parser.add_argument(
-        "--retry-backoff",
-        type=float,
-        default=0.1,
-        metavar="SECONDS",
-        help="base delay between attempts of one cell, doubled per retry (default: 0.1)",
-    )
-    sweep_parser.add_argument(
         "--max-cell-failures",
         type=int,
         default=0,
@@ -430,7 +423,6 @@ def _command_sweep(args: argparse.Namespace) -> int:
     policy = ResiliencePolicy(
         cell_timeout=args.cell_timeout,
         max_retries=args.retries,
-        retry_backoff=args.retry_backoff,
         max_cell_failures=args.max_cell_failures,
     )
     result = sweep(

@@ -7,7 +7,7 @@ pieces the executors (:mod:`repro.experiments.executors`) and the sweep
 driver (:mod:`repro.experiments.sweep`) compose into that guarantee:
 
 * :class:`ResiliencePolicy` — per-cell wall-clock timeout, deterministic
-  retry-with-backoff, the ``--max-cell-failures`` graceful-degradation
+  immediate retries, the ``--max-cell-failures`` graceful-degradation
   budget, and the pool-rebuild cap for ``BrokenProcessPool`` recovery.
 * :func:`run_cell_guarded` — the guarded task body both executors use: it
   applies the fault hook, arms the timeout, retries transient failures, and
@@ -24,7 +24,10 @@ the *entire* stack (simulator, RNG registry, network, deployment) from the
 spec's own derived seed, and the runner tears the previous attempt down in a
 ``finally`` block — so retries never consume scenario RNG streams, never
 leak state between attempts, and never depend on which attempt succeeded.
-The retry *backoff* is wall-clock only and therefore invisible in results.
+A cell is a pure function of its seed, so waiting between attempts cannot
+change what the next attempt does: retries run immediately.  They help only
+with faults outside the cell (a timeout on a loaded host, an injected fault
+that fires once).
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ import hashlib
 import os
 import signal
 import threading
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple
@@ -56,9 +58,6 @@ FAULT_STATE_ENV = "REPRO_FAULT_STATE"
 
 #: Exit code of a ``kill:`` directive — distinguishable from a Python crash.
 KILL_EXIT_CODE = 87
-
-#: Retry backoff is capped so exponential growth cannot stall a sweep.
-_MAX_BACKOFF_SECONDS = 5.0
 
 
 class CellTimeoutError(RuntimeError):
@@ -89,9 +88,6 @@ class ResiliencePolicy:
     #: deterministic: each attempt rebuilds the full stack from the cell's
     #: derived seed (see the module docstring).
     max_retries: int = 0
-    #: Base sleep before the first retry; doubles per attempt (wall-clock
-    #: only, capped, never part of results).
-    retry_backoff: float = 0.1
     #: Failure budget: up to this many failed cells are quarantined as typed
     #: ``cell_error`` journal records and reported as gaps; one more aborts
     #: the sweep.
@@ -106,8 +102,6 @@ class ResiliencePolicy:
             raise ValueError(f"cell_timeout must be positive, got {self.cell_timeout!r}")
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries!r}")
-        if self.retry_backoff < 0:
-            raise ValueError(f"retry_backoff must be >= 0, got {self.retry_backoff!r}")
         if self.max_cell_failures < 0:
             raise ValueError(
                 f"max_cell_failures must be >= 0, got {self.max_cell_failures!r}"
@@ -306,7 +300,7 @@ def run_cell_guarded(
     """Run one cell under ``policy``; returns ``(result, attempts)``.
 
     Applies the fault hook, arms the per-cell timeout, and retries transient
-    failures with exponential backoff.  When every attempt failed, raises
+    failures immediately.  When every attempt failed, raises
     :class:`CellExecutionError` wrapping the last exception.
     ``KeyboardInterrupt``/``SystemExit`` always propagate immediately — an
     interrupt must never be retried away.
@@ -321,9 +315,5 @@ def run_cell_guarded(
         except (KeyboardInterrupt, SystemExit):
             raise
         except Exception as exc:
-            if attempt <= policy.max_retries:
-                time.sleep(
-                    min(policy.retry_backoff * (2 ** (attempt - 1)), _MAX_BACKOFF_SECONDS)
-                )
-                continue
-            raise CellExecutionError(key, attempt, exc) from exc
+            if attempt > policy.max_retries:
+                raise CellExecutionError(key, attempt, exc) from exc

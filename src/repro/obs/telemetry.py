@@ -17,21 +17,26 @@ Field glossary (see also EXPERIMENTS.md, "Observability")
 ---------------------------------------------------------
 ``engine.events_scheduled``
     Total calendar keys drawn (cancellable events + fire-and-forget posts +
-    wheel timers; the shared sequence counter counts them all).  Multicast
+    timers; the calendar's one sequence counter counts them all).  Multicast
     is interest-filtered, so no key is drawn for a copy to an endpoint that
     does not handle its kind (see :mod:`repro.net.network`).
 ``engine.events_fired``
     Callbacks actually executed by the run loop (filtered multicast copies
     are never posted, so they are not among them).
 ``engine.events_cancelled``
-    Cancellations of calendar events (timer cancellations count separately).
+    Cancellations of calendar events other than timers (timer cancellations
+    count separately).
 ``engine.heap_hwm``
-    High-water mark of the event heap (live + buried-cancelled entries).
+    High-water mark of the calendar heap (live + buried-cancelled entries,
+    timers included).
 ``engine.heap_compactions``
-    Times the event heap was rebuilt to shed cancelled entries.
-``timers.scheduled`` / ``timers.cancelled`` / ``timers.heap_hwm`` /
-``timers.compactions``
-    The same, for the batched timer wheel.
+    Times the calendar heap was rebuilt to shed cancelled entries.
+``timers.scheduled`` / ``timers.cancelled``
+    Timers armed, and timers disarmed while still pending, by the
+    :mod:`repro.sim.timers` helpers.  Timers are ordinary calendar entries,
+    so they are also among the ``engine`` keys drawn and heap counters.
+    Schema v3 removed the ``timers.heap_hwm`` / ``timers.compactions`` pair
+    along with the separate timer heap.
 ``net.sends``
     Logical transmissions recorded (one per unicast attempt that left the
     transmitter, one per multicast announcement).
@@ -84,7 +89,7 @@ if TYPE_CHECKING:  # imported for annotations only
     from repro.sim.engine import Simulator
 
 #: Version of the RunTelemetry dict layout (bumped on incompatible changes).
-TELEMETRY_SCHEMA_VERSION = 2
+TELEMETRY_SCHEMA_VERSION = 3
 
 
 def collect_run_telemetry(
@@ -101,7 +106,6 @@ def collect_run_telemetry(
     ``failures``.
     """
     queue = sim._queue
-    timers = sim.timers
     stats = network.stats
     delivered = dropped_tx = dropped_rx = 0
     for endpoint in network.endpoints():
@@ -114,15 +118,13 @@ def collect_run_telemetry(
         "engine": {
             "events_scheduled": queue._next_seq,
             "events_fired": sim.executed_events,
-            "events_cancelled": queue.cancelled_total,
+            "events_cancelled": queue.cancelled_total - sim.timers_cancelled,
             "heap_hwm": queue.hwm,
             "heap_compactions": queue.compactions,
         },
         "timers": {
-            "scheduled": timers.scheduled_total,
-            "cancelled": timers.cancelled_total,
-            "heap_hwm": timers.hwm,
-            "compactions": timers.compactions,
+            "scheduled": sim.timers_scheduled,
+            "cancelled": sim.timers_cancelled,
         },
         "net": {
             "sends": len(stats),

@@ -10,7 +10,7 @@ plain Python state machines driven by this kernel.
 from repro.sim.engine import Simulator, EventHandle, SimulationError
 from repro.sim.events import Event, EventQueue
 from repro.sim.process import Process
-from repro.sim.timers import PeriodicTimer, OneShotTimer, TimerWheel
+from repro.sim.timers import PeriodicTimer, OneShotTimer
 from repro.sim.rng import RngRegistry, derive_seed
 from repro.sim.tracing import TraceRecord, Tracer
 
@@ -23,7 +23,6 @@ __all__ = [
     "Process",
     "PeriodicTimer",
     "OneShotTimer",
-    "TimerWheel",
     "RngRegistry",
     "derive_seed",
     "TraceRecord",

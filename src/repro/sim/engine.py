@@ -5,7 +5,7 @@ schedule callbacks with :meth:`Simulator.schedule` (relative delay) or
 :meth:`Simulator.schedule_at` (absolute time) and the engine executes them in
 deterministic time order.
 
-Two scheduling tiers exist:
+Two scheduling tiers share the one calendar:
 
 * :meth:`Simulator.schedule` / :meth:`Simulator.schedule_at` return an
   :class:`EventHandle` for cancellation — use these when the caller may need
@@ -15,16 +15,14 @@ Two scheduling tiers exist:
   no per-event object is allocated, which is what keeps large-N simulations
   (thousands of in-flight deliveries) cheap.
 
-Per-node timers go through :attr:`Simulator.timers` — a
-:class:`~repro.sim.timers.TimerWheel` holding a separate heap that the run
-loop merges with the event calendar by ``(time, priority, sequence)`` key.
-Both heaps draw sequence numbers from one shared counter, so the merged
-firing order is exactly the order a single flat calendar would produce.
+Per-node timers (:mod:`repro.sim.timers`) are ordinary cancellable calendar
+entries; the engine only keeps their scheduled/cancelled counts.  Every
+entry draws its ``(time, priority, sequence)`` key from the calendar's one
+sequence counter, so the firing order is the program order of scheduling.
 """
 
 from __future__ import annotations
 
-import heapq
 from heapq import heappop, heappush
 from math import inf
 from typing import Any, Callable, Optional
@@ -79,22 +77,20 @@ class Simulator:
         "_stopped",
         "tracer",
         "executed_events",
-        "timers",
+        "timers_scheduled",
+        "timers_cancelled",
     )
 
     def __init__(self, start_time: float = 0.0, tracer: Optional[Tracer] = None) -> None:
-        # Imported here (not at module top) to break the engine <-> timers cycle:
-        # timers needs engine types only for annotations.
-        from repro.sim.timers import TimerWheel
-
         self._now = float(start_time)
         self._queue = EventQueue()
         self._running = False
         self._stopped = False
         self.tracer = tracer if tracer is not None else Tracer()
         self.executed_events = 0
-        #: Batched timer wheel for per-node timers (see :mod:`repro.sim.timers`).
-        self.timers = TimerWheel(self)
+        #: Timers armed / disarmed while live by :mod:`repro.sim.timers`.
+        self.timers_scheduled = 0
+        self.timers_cancelled = 0
 
     # ------------------------------------------------------------------ clock
     @property
@@ -105,7 +101,7 @@ class Simulator:
     @property
     def pending_events(self) -> int:
         """Number of live (not yet fired, not cancelled) events, timers included."""
-        return len(self._queue) + len(self.timers)
+        return len(self._queue)
 
     # -------------------------------------------------------------- scheduling
     def schedule(
@@ -145,8 +141,8 @@ class Simulator:
     ) -> None:
         """Fire-and-forget :meth:`schedule`: no handle, no per-event allocation.
 
-        The push is inlined (no :meth:`EventQueue.push_call` hop): deliveries
-        run through here once per message on the hot path.
+        The push is inlined: deliveries run through here once per message on
+        the hot path.
         """
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
@@ -154,7 +150,6 @@ class Simulator:
         seq = queue._next_seq
         queue._next_seq = seq + 1
         heappush(queue._heap, (self._now + delay, priority, seq, callback, args))
-        queue._live += 1
         if len(queue._heap) > queue.hwm:
             queue.hwm = len(queue._heap)
 
@@ -174,7 +169,6 @@ class Simulator:
         seq = queue._next_seq
         queue._next_seq = seq + 1
         heappush(queue._heap, (time, priority, seq, callback, args))
-        queue._live += 1
         if len(queue._heap) > queue.hwm:
             queue.hwm = len(queue._heap)
 
@@ -183,100 +177,39 @@ class Simulator:
         return handle.cancel()
 
     # --------------------------------------------------------------- execution
-    def step(self) -> bool:
-        """Execute the single next event (or timer).  Returns ``False`` when none remain."""
-        timers = self.timers
-        tentry = timers.peek()
-        if tentry is not None:
-            key = self._queue.peek_key()
-            if key is None or (tentry[0], tentry[1], tentry[2]) < key:
-                timers.pop()
-                self._now = tentry[0]
-                event = tentry[3]
-                event.fired = True
-                event.callback(*event.args)
-                self.executed_events += 1
-                return True
-        entry = self._queue.pop_entry()
-        if entry is None:
-            return False
-        if entry[0] < self._now:  # pragma: no cover - defensive
-            raise SimulationError("event calendar went backwards")
-        self._now = entry[0]
-        if len(entry) == 5:
-            entry[3](*entry[4])
-        else:
-            event = entry[3]
-            event.fired = True
-            event.callback(*event.args)
-        self.executed_events += 1
-        return True
-
     def run(self, until: Optional[float] = None) -> float:
-        """Run until the calendars empty or the clock reaches ``until``.
+        """Run until the calendar empties or the clock reaches ``until``.
 
         Returns the final simulation time.  When ``until`` is given the clock
         is advanced to exactly ``until`` even if the last event fired earlier.
-
-        The loop is a two-way merge of the event heap and the timer-wheel
-        heap: both hold ``(time, priority, sequence, ...)`` tuples keyed from
-        one shared sequence counter, so comparing their heads picks the exact
-        event a single flat calendar would have fired next.  The heaps are
-        accessed directly here — this loop is the simulation's hot path.
+        The heap is accessed directly here — this loop is the simulation's
+        hot path.
         """
         self._running = True
         self._stopped = False
         queue = self._queue
-        timers = self.timers
-        qheap = queue._heap
-        theap = timers._heap
+        heap = queue._heap
         # ``inf`` sentinel keeps the per-event bound check to one C-level
         # float comparison instead of an ``is not None`` test plus a compare.
         limit = inf if until is None else until
         pop = heappop
         executed = 0
         try:
-            while not self._stopped:
-                # Drop cancelled heads so the head comparison sees live work.
-                # ``_dead`` counts buried cancellations, so a zero counter
-                # proves the head is live without inspecting it.
-                if queue._dead:
-                    while qheap and len(qheap[0]) == 4 and qheap[0][3].cancelled:
-                        pop(qheap)
-                        queue._dead -= 1
-                if timers._dead:
-                    while theap and theap[0][3].cancelled:
-                        pop(theap)
-                        timers._dead -= 1
-                if theap:
-                    thead = theap[0]
-                    # Tuple comparison stays in C: sequences are unique across
-                    # both heaps, so it never reaches the payload elements.
-                    if not qheap or thead < qheap[0]:
-                        time = thead[0]
-                        if time > limit:
-                            break
-                        pop(theap)
-                        timers._live -= 1
-                        self._now = time
-                        event = thead[3]
-                        event.fired = True
-                        event.callback(*event.args)
-                        executed += 1
-                        continue
-                if not qheap:
-                    break
-                entry = pop(qheap)
+            while heap and not self._stopped:
+                entry = pop(heap)
                 time = entry[0]
                 if time > limit:
-                    heappush(qheap, entry)
+                    heappush(heap, entry)
                     break
-                queue._live -= 1
-                self._now = time
                 if len(entry) == 5:
+                    self._now = time
                     entry[3](*entry[4])
                 else:
                     event = entry[3]
+                    if event.cancelled:
+                        queue._dead -= 1
+                        continue
+                    self._now = time
                     event.fired = True
                     event.callback(*event.args)
                 executed += 1
@@ -294,7 +227,6 @@ class Simulator:
     def clear(self) -> None:
         """Drop every pending event and timer (teardown of a finished run)."""
         self._queue.clear()
-        self.timers.clear()
 
     # ------------------------------------------------------------------ helpers
     def call_soon(self, callback: Callable[..., Any], *args: Any) -> EventHandle:

@@ -1,9 +1,11 @@
 """Event calendar primitives.
 
-The calendar is a binary heap ordered by the explicit key
+The calendar is one binary heap ordered by the explicit key
 ``(time, priority, sequence)``.  The sequence number guarantees a total,
 deterministic order for events scheduled at the same instant, which in turn
-makes every simulation run exactly reproducible for a given seed.
+makes every simulation run exactly reproducible for a given seed.  Events,
+fire-and-forget posts and per-node timers all live in this heap and draw
+their sequence numbers from its one counter.
 
 The hot path is flattened for large-N simulations:
 
@@ -11,16 +13,16 @@ The hot path is flattened for large-N simulations:
   sequence)`` prefixes entirely in C — no Python-level ``__lt__`` is ever
   invoked during sift operations (the sequence is unique, so the comparison
   never reaches the trailing payload elements);
-* fire-and-forget callbacks (:meth:`EventQueue.push_call` — message
-  deliveries, retransmissions) carry no :class:`Event` object at all, saving
-  one allocation per schedule;
-* cancelled events no longer rot in the heap: :meth:`EventQueue.cancel`
+* fire-and-forget callbacks (:meth:`~repro.sim.engine.Simulator.post` —
+  message deliveries, retransmissions) carry no :class:`Event` object at
+  all, saving one allocation per schedule;
+* cancelled events do not rot in the heap: :meth:`EventQueue.cancel`
   triggers a compaction once dead entries outnumber live ones (beyond a
   small threshold), so a workload that arms and cancels many timers keeps
   its heap — and every subsequent push/pop — proportional to the *live*
   event count.
 
-Two entry shapes share one heap (distinguished by tuple length):
+Two entry shapes share the heap (distinguished by tuple length):
 
 * ``(time, priority, sequence, callback, args)`` — fire-and-forget,
 * ``(time, priority, sequence, event)`` — cancellable, wrapping an
@@ -103,13 +105,14 @@ class Event:
 class EventQueue:
     """Deterministic priority queue of scheduled callbacks."""
 
-    __slots__ = ("_heap", "_next_seq", "_live", "_dead", "hwm", "cancelled_total", "compactions")
+    __slots__ = ("_heap", "_next_seq", "_dead", "hwm", "cancelled_total", "compactions")
 
     def __init__(self) -> None:
         self._heap: List[tuple] = []
         self._next_seq = 0
-        self._live = 0
-        self._dead = 0  # cancelled Event entries still buried in the heap
+        # Cancelled Event entries still buried in the heap; every other entry
+        # is live, so the live count is ``len(heap) - _dead``.
+        self._dead = 0
         # Always-on telemetry counters (read by repro.obs.telemetry): heap
         # high-water mark, lifetime cancellations, and compaction passes.
         self.hwm = 0
@@ -117,23 +120,10 @@ class EventQueue:
         self.compactions = 0
 
     def __len__(self) -> int:
-        return self._live
+        return len(self._heap) - self._dead
 
     def __bool__(self) -> bool:  # pragma: no cover - trivial
-        return self._live > 0
-
-    # ------------------------------------------------------------------ sequencing
-    def next_sequence(self) -> int:
-        """Consume and return the next insertion sequence number.
-
-        Exposed so cooperating structures (the
-        :class:`~repro.sim.timers.TimerWheel`) can draw keys from the *same*
-        total order; the engine then merges both heaps by key, which yields
-        exactly the firing order a flat schedule would have produced.
-        """
-        seq = self._next_seq
-        self._next_seq = seq + 1
-        return seq
+        return len(self._heap) > self._dead
 
     # ------------------------------------------------------------------ insertion
     def push(
@@ -148,25 +138,9 @@ class EventQueue:
         self._next_seq = seq + 1
         event = Event(time, priority, seq, callback, args)
         heapq.heappush(self._heap, (time, priority, seq, event))
-        self._live += 1
         if len(self._heap) > self.hwm:
             self.hwm = len(self._heap)
         return event
-
-    def push_call(
-        self,
-        time: float,
-        callback: Callable[..., Any],
-        args: Tuple[Any, ...] = (),
-        priority: int = 0,
-    ) -> None:
-        """Insert a fire-and-forget callback (no handle, no Event allocation)."""
-        seq = self._next_seq
-        self._next_seq = seq + 1
-        heapq.heappush(self._heap, (time, priority, seq, callback, args))
-        self._live += 1
-        if len(self._heap) > self.hwm:
-            self.hwm = len(self._heap)
 
     # ------------------------------------------------------------------ cancellation
     def cancel(self, event: Event) -> bool:
@@ -174,7 +148,6 @@ class EventQueue:
         if event.cancelled or event.fired:
             return False
         event.cancelled = True
-        self._live -= 1
         self._dead += 1
         self.cancelled_total += 1
         if self._dead > _MIN_COMPACT and self._dead * 2 > len(self._heap):
@@ -204,47 +177,18 @@ class EventQueue:
             return None
         return heap[0][0]
 
-    def peek_key(self) -> Optional[Tuple[float, int, int]]:
-        """The ``(time, priority, sequence)`` key of the next live event, or ``None``."""
-        heap = self._heap
-        while heap and len(heap[0]) == 4 and heap[0][3].cancelled:
-            heapq.heappop(heap)
-            self._dead -= 1
-        if not heap:
-            return None
-        head = heap[0]
-        return (head[0], head[1], head[2])
-
-    def pop_entry(self) -> Optional[tuple]:
-        """Remove and return the next live heap entry, or ``None`` if empty.
-
-        The entry is either ``(time, priority, seq, callback, args)`` or
-        ``(time, priority, seq, event)`` — callers dispatch on ``len()``.
-        This is the engine's hot path; :meth:`pop` is the compatibility
-        wrapper that always returns an :class:`Event`.
-        """
+    def pop(self) -> Optional[Event]:
+        """Remove and return the next live event, or ``None`` if empty."""
         heap = self._heap
         while heap:
             entry = heapq.heappop(heap)
-            if len(entry) == 4:
-                if entry[3].cancelled:
-                    self._dead -= 1
-                    continue
-            self._live -= 1
-            return entry
+            if len(entry) == 4 and entry[3].cancelled:
+                self._dead -= 1
+                continue
+            return entry[3] if len(entry) == 4 else Event(*entry)
         return None
-
-    def pop(self) -> Optional[Event]:
-        """Remove and return the next live event, or ``None`` if empty."""
-        entry = self.pop_entry()
-        if entry is None:
-            return None
-        if len(entry) == 4:
-            return entry[3]
-        return Event(entry[0], entry[1], entry[2], entry[3], entry[4])
 
     def clear(self) -> None:
         """Drop all pending events."""
         self._heap.clear()
-        self._live = 0
         self._dead = 0

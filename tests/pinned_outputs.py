@@ -50,8 +50,19 @@ FAMILY_FIXTURES = {
 #: RunTelemetry counters that count calendar events and deliveries, which
 #: interest filtering lowers: section -> keys.
 COST_TELEMETRY = {
-    "engine": ("events_scheduled", "events_fired", "heap_hwm"),
+    "engine": ("events_scheduled", "events_fired"),
     "net": ("delivered", "dropped_rx"),
+}
+
+#: RunTelemetry counters that describe the calendar heap's shape rather than
+#: the work done: section -> keys.  The fixtures were pinned while timers
+#: had a heap of their own; with one calendar the engine pair measures a
+#: different heap and the timers pair is gone (schema version 3).  Every
+#: count of work (keys drawn, events fired and cancelled, timers armed and
+#: disarmed) is unchanged.
+CALENDAR_SHAPE = {
+    "engine": ("heap_hwm", "heap_compactions"),
+    "timers": ("heap_hwm", "compactions"),
 }
 
 
@@ -60,21 +71,31 @@ def strip_scenario_telemetry(data):
 
     The simulation itself must be untouched by the scenario layer; only the
     *reporting* grew (schema version 2: a ``failures`` section and the
-    ``net.link_losses`` counter).  Everything else must match the pre-PR
-    fixture exactly.
+    ``net.link_losses`` counter).  Schema version 3 only dropped calendar
+    shape counters, which :func:`without_calendar_shape` leaves out.
     """
     for run in data["runs"]:
         telemetry = run["details"]["telemetry"]
-        assert telemetry["version"] == 2
-        telemetry["version"] = 1
+        assert telemetry["version"] == 3
         telemetry.pop("failures", None)
         assert telemetry["net"].pop("link_losses") == 0  # table4 has no loss windows
     return data
 
 
+def _without_shape(run):
+    """A copy of one run's dict without the schema version and ``CALENDAR_SHAPE``."""
+    run = copy.deepcopy(run)
+    telemetry = run["details"]["telemetry"]
+    del telemetry["version"]
+    for section, keys in CALENDAR_SHAPE.items():
+        for key in keys:
+            telemetry[section].pop(key, None)
+    return run
+
+
 def without_cost_counters(run):
     """A copy of one run's dict without the counters filtering lowers."""
-    run = copy.deepcopy(run)
+    run = _without_shape(run)
     details = run["details"]
     del details["executed_events"]
     telemetry = details["telemetry"]
@@ -84,11 +105,37 @@ def without_cost_counters(run):
     return run
 
 
+def _map_runs(data, strip):
+    data = dict(data)
+    data["runs"] = [strip(run) for run in data["runs"]]
+    return data
+
+
+def without_calendar_shape(data):
+    """A per-run sweep dict with only every run's heap-shape counters left out."""
+    return _map_runs(data, _without_shape)
+
+
 def results_only(data):
     """A per-run sweep dict with every run's cost counters left out."""
-    data = dict(data)
-    data["runs"] = [without_cost_counters(run) for run in data["runs"]]
-    return data
+    return _map_runs(data, without_cost_counters)
+
+
+def cost_counters(data):
+    """Every run's coordinates and cost counters (the cost fixture's layout)."""
+    return [
+        {
+            "system": run["system"],
+            "failure_rate": run["failure_rate"],
+            "seed": run["seed"],
+            "executed_events": run["details"]["executed_events"],
+            **{
+                section: run["details"]["telemetry"][section]
+                for section in ("engine", "timers", "net")
+            },
+        }
+        for run in data["runs"]
+    ]
 
 
 @contextlib.contextmanager

@@ -78,7 +78,6 @@ def test_policy_validation_rejects_bad_values():
         ResiliencePolicy(cell_timeout=0.0),
         ResiliencePolicy(cell_timeout=-1.0),
         ResiliencePolicy(max_retries=-1),
-        ResiliencePolicy(retry_backoff=-0.1),
         ResiliencePolicy(max_cell_failures=-1),
         ResiliencePolicy(max_pool_rebuilds=-1),
     ):
@@ -102,7 +101,7 @@ def test_retry_recovers_and_is_byte_identical_to_first_try():
     scenario = ScenarioSpec(system="frodo3", failure_rate=0.2, seed=3)
     clean = ExperimentRunner().run(scenario)
     flaky = _FlakyRunner(failures=2)
-    policy = ResiliencePolicy(max_retries=2, retry_backoff=0.0)
+    policy = ResiliencePolicy(max_retries=2)
     result, attempts = run_cell_guarded(flaky, scenario, "k", policy)
     assert attempts == 3
     # Determinism rule: a retried cell equals a first-try cell exactly —
@@ -114,7 +113,7 @@ def test_retry_recovers_and_is_byte_identical_to_first_try():
 def test_exhausted_retries_raise_typed_cell_execution_error():
     flaky = _FlakyRunner(failures=99, exc=InjectedFaultError("boom"))
     scenario = ScenarioSpec(system="frodo3", failure_rate=0.0, seed=0)
-    policy = ResiliencePolicy(max_retries=1, retry_backoff=0.0)
+    policy = ResiliencePolicy(max_retries=1)
     with pytest.raises(CellExecutionError) as excinfo:
         run_cell_guarded(flaky, scenario, "the-key", policy)
     assert excinfo.value.key == "the-key"
@@ -129,9 +128,7 @@ def test_keyboard_interrupt_is_never_retried():
     flaky = _FlakyRunner(failures=99, exc=KeyboardInterrupt())
     scenario = ScenarioSpec(system="frodo3", failure_rate=0.0, seed=0)
     with pytest.raises(KeyboardInterrupt):
-        run_cell_guarded(
-            flaky, scenario, "k", ResiliencePolicy(max_retries=5, retry_backoff=0.0)
-        )
+        run_cell_guarded(flaky, scenario, "k", ResiliencePolicy(max_retries=5))
     assert flaky.calls == 1
 
 

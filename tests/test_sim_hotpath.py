@@ -1,17 +1,18 @@
 """Regression battery for the flattened simulator core.
 
-Pins the semantics the large-N hot path must preserve: the two-way merge of
-the timer-wheel heap with the event calendar (identical firing order to a
-single flat calendar), Event cancel/fired state transitions, fire-and-forget
-posting, and — critically — that lazy heap compaction keeps the *same list
-object*, because the engine's run loop aliases both heaps for the whole run.
+Pins the semantics the large-N hot path must preserve: timers, posts and
+events share one calendar and fire in one total order (program order at
+equal time and priority), Event cancel/fired state transitions,
+fire-and-forget posting, and — critically — that lazy heap compaction keeps
+the *same list object*, because the engine's run loop aliases the heap for
+the whole run.
 """
 
 import pytest
 
 from repro.sim.engine import SimulationError, Simulator
 from repro.sim.events import Event, EventQueue
-from repro.sim.timers import OneShotTimer, PeriodicTimer, TimerWheel
+from repro.sim.timers import OneShotTimer, PeriodicTimer
 
 
 # --------------------------------------------------------------- Event record
@@ -35,102 +36,104 @@ def test_event_ordering_is_time_then_priority_then_sequence():
     assert d < c < a < b
 
 
-# -------------------------------------------------- wheel/calendar merge order
+# ---------------------------------------------------- one calendar, one order
+def _arm(sim, delay, callback, *args):
+    timer = OneShotTimer(sim, callback)
+    timer.start(delay, *args)
+    return timer
+
+
 def test_timers_and_events_fire_in_one_total_order():
-    """The wheel shares the calendar's sequence counter: interleaved schedules
-    at the same instant fire in program order, exactly as a flat calendar."""
+    """Timers draw calendar keys like any event: interleaved schedules at the
+    same instant fire in program order."""
     sim = Simulator()
     fired = []
     sim.schedule(1.0, fired.append, "event-1")
-    sim.timers.schedule(1.0, fired.append, "timer-1")
+    _arm(sim, 1.0, fired.append, "timer-1")
     sim.post(1.0, fired.append, "post-1")
-    sim.timers.schedule(1.0, fired.append, "timer-2")
+    PeriodicTimer(sim, 1.0, lambda: fired.append("periodic")).start()
+    _arm(sim, 1.0, fired.append, "timer-2")
     sim.schedule(1.0, fired.append, "event-2")
-    sim.run()
-    assert fired == ["event-1", "timer-1", "post-1", "timer-2", "event-2"]
-    assert sim.executed_events == 5
+    sim.run(until=1.0)
+    assert fired == ["event-1", "timer-1", "post-1", "periodic", "timer-2", "event-2"]
+    assert sim.executed_events == 6
 
 
-def test_timer_priority_beats_insertion_order_across_heaps():
+def test_event_priority_beats_timer_insertion_order():
     sim = Simulator()
     fired = []
-    sim.schedule(1.0, fired.append, "normal-event")
-    sim.timers.schedule(1.0, fired.append, "urgent-timer", priority=-1)
+    _arm(sim, 1.0, fired.append, "timer")
+    sim.schedule(1.0, fired.append, "urgent-event", priority=-1)
     sim.run()
-    assert fired == ["urgent-timer", "normal-event"]
-
-
-def test_step_merges_both_heaps():
-    sim = Simulator()
-    fired = []
-    sim.timers.schedule(1.0, fired.append, "timer")
-    sim.schedule(2.0, fired.append, "event")
-    assert sim.step() is True
-    assert fired == ["timer"] and sim.now == 1.0
-    assert sim.step() is True
-    assert fired == ["timer", "event"] and sim.now == 2.0
-    assert sim.step() is False
+    assert fired == ["urgent-event", "timer"]
 
 
 def test_run_until_leaves_future_timers_armed():
     sim = Simulator()
     fired = []
-    sim.timers.schedule(10.0, fired.append, "late-timer")
+    late = _arm(sim, 10.0, fired.append, "late-timer")
     sim.schedule(1.0, fired.append, "early")
     sim.run(until=5.0)
     assert fired == ["early"]
     assert sim.now == 5.0
     assert sim.pending_events == 1
+    assert late.armed
     sim.run()
     assert fired == ["early", "late-timer"]
 
 
-def test_timer_wheel_rejects_past_and_negative_times():
+def test_timers_reject_negative_delays():
     sim = Simulator(start_time=10.0)
     with pytest.raises(SimulationError):
-        sim.timers.schedule(-1.0, lambda: None)
-    with pytest.raises(SimulationError):
-        sim.timers.schedule_at(9.0, lambda: None)
+        OneShotTimer(sim, lambda: None).start(-1.0)
+    assert sim.pending_events == 0 and sim.timers_scheduled == 0
 
 
 def test_timer_cancellation_and_live_count():
     sim = Simulator()
-    wheel = sim.timers
     fired = []
-    keep = wheel.schedule(2.0, fired.append, "kept")
-    drop = wheel.schedule(1.0, fired.append, "dropped")
-    assert len(wheel) == 2
-    assert wheel.cancel(drop) is True
-    assert wheel.cancel(drop) is False
-    assert len(wheel) == 1
-    assert wheel.peek_time() == 2.0
+    keep = _arm(sim, 2.0, fired.append, "kept")
+    drop = _arm(sim, 1.0, fired.append, "dropped")
+    assert sim.pending_events == 2
+    drop.cancel()
+    drop.cancel()  # disarming a disarmed timer is a no-op
+    assert sim.pending_events == 1
+    assert sim._queue.peek_time() == 2.0
     sim.run()
     assert fired == ["kept"]
-    assert len(wheel) == 0
-    assert wheel.cancel(keep) is False  # fired timers cannot be cancelled
+    assert sim.pending_events == 0
+    keep.cancel()  # fired timers cannot be cancelled
+    assert (sim.timers_scheduled, sim.timers_cancelled) == (2, 1)
+    assert sim._queue.cancelled_total == 1
 
 
 # ------------------------------------------------- compaction aliasing (bugfix)
 def _trigger_compaction(schedule, cancel, count=200):
-    """Arm ``count`` timers and cancel them all, crossing the compaction
+    """Arm ``count`` entries and cancel them all, crossing the compaction
     threshold (dead > 64 and dead > half the heap)."""
     handles = [schedule(float(i + 1)) for i in range(count)]
     for handle in handles:
         cancel(handle)
 
 
-def test_wheel_compaction_keeps_heap_list_identity():
-    """Compaction must mutate the heap in place: the run loop aliases the
-    list, so rebinding it silently orphans every later-scheduled timer."""
-    sim = Simulator()
-    wheel = sim.timers
-    alias = wheel._heap
+def _timer_churn(sim, offset=0.0, count=200):
     _trigger_compaction(
-        lambda t: wheel.schedule(t, lambda: None),
-        wheel.cancel,
+        lambda t: _arm(sim, t + offset, lambda: None),
+        OneShotTimer.cancel,
+        count=count,
     )
-    assert wheel._heap is alias
-    assert len(wheel) == 0
+
+
+def test_timer_churn_compaction_keeps_heap_list_identity():
+    """Compaction must mutate the heap in place: the run loop aliases the
+    list, so rebinding it silently orphans every later-armed timer."""
+    sim = Simulator()
+    queue = sim._queue
+    alias = queue._heap
+    _timer_churn(sim)
+    assert queue.compactions >= 1
+    assert queue._heap is alias
+    assert sim.pending_events == 0
 
 
 def test_queue_compaction_keeps_heap_list_identity():
@@ -152,19 +155,18 @@ def test_timers_scheduled_after_mid_run_compaction_still_fire():
     fired = []
 
     def churn() -> None:
-        _trigger_compaction(
-            lambda t: sim.timers.schedule(t + 50.0, lambda: None),
-            sim.timers.cancel,
-        )
-        sim.timers.schedule(1.0, fired.append, "after-wheel-compaction")
+        compactions = sim._queue.compactions
+        _timer_churn(sim, offset=50.0)
+        assert sim._queue.compactions > compactions
+        _arm(sim, 1.0, fired.append, "after-timer-compaction")
         handles = [sim.schedule(60.0, lambda: None) for _ in range(200)]
         for handle in handles:
             handle.cancel()
-        sim.post(2.0, fired.append, "after-queue-compaction")
+        sim.post(2.0, fired.append, "after-event-compaction")
 
     sim.schedule(1.0, churn)
     sim.run(until=100.0)
-    assert fired == ["after-wheel-compaction", "after-queue-compaction"]
+    assert fired == ["after-timer-compaction", "after-event-compaction"]
 
 
 def test_periodic_timer_survives_heavy_cancellation_churn():
@@ -175,14 +177,11 @@ def test_periodic_timer_survives_heavy_cancellation_churn():
     renewal = PeriodicTimer(sim, 10.0, lambda: ticks.append(sim.now))
     renewal.start()
 
-    churn_timer = PeriodicTimer(sim, 7.0, lambda: _trigger_compaction(
-        lambda t: sim.timers.schedule(t + 100.0, lambda: None),
-        sim.timers.cancel,
-        count=80,
-    ))
+    churn_timer = PeriodicTimer(sim, 7.0, lambda: _timer_churn(sim, offset=100.0, count=80))
     churn_timer.start()
     sim.run(until=100.0)
     assert ticks == [10.0 * i for i in range(1, 11)]
+    assert sim._queue.compactions >= 1
 
 
 # ----------------------------------------------------------- timer helpers
@@ -219,8 +218,36 @@ def test_periodic_timer_initial_delay_and_stop():
     assert not timer.running
 
 
-def test_fresh_wheel_belongs_to_its_simulator():
+
+def test_periodic_timer_restarted_from_its_callback_ticks_once_per_interval():
+    """A callback that restarts its own timer re-arms it; the tick must not
+    arm a second, orphaned entry on top (which would double every tick)."""
     sim = Simulator()
-    assert isinstance(sim.timers, TimerWheel)
-    other = Simulator()
-    assert other.timers is not sim.timers
+    ticks = []
+
+    def restart_once() -> None:
+        ticks.append(sim.now)
+        if len(ticks) == 1:
+            timer.start()
+
+    timer = PeriodicTimer(sim, 10.0, restart_once)
+    timer.start()
+    sim.run(until=50.0)
+    assert ticks == [10.0, 20.0, 30.0, 40.0, 50.0]
+    timer.stop()
+    assert sim.pending_events == 0  # no orphan left that stop() cannot reach
+
+
+def test_periodic_timer_stopped_from_its_callback_stays_stopped():
+    sim = Simulator()
+    ticks = []
+
+    def once() -> None:
+        ticks.append(sim.now)
+        timer.stop()
+
+    timer = PeriodicTimer(sim, 10.0, once)
+    timer.start()
+    sim.run(until=50.0)
+    assert ticks == [10.0]
+    assert not timer.running and sim.pending_events == 0
