@@ -120,10 +120,10 @@ class Endpoint:
     receiver interface is up.
 
     ``kinds`` is the set of message kinds the handler consumes: the network
-    posts a multicast copy only to endpoints whose set holds its kind.
-    ``None`` (the default) subscribes to every kind, which is what a generic
-    handler such as ``inbox.append`` needs.  Unicast ignores it.  Set it
-    before the endpoint joins a network.
+    posts a multicast copy, or a unicast sent without an ``on_delivered``
+    callback, only to endpoints whose set holds its kind.  ``None`` (the
+    default) subscribes to every kind, which is what a generic handler such
+    as ``inbox.append`` needs.  Set it before the endpoint joins a network.
     """
 
     def __init__(

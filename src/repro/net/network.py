@@ -2,32 +2,42 @@
 
 The :class:`Network` owns the set of endpoints, imposes the 10-100 microsecond
 transmission delay from Table 3, enforces interface up/down state at both the
-sending and the receiving side, and records every transmission attempt in a
-:class:`~repro.net.stats.MessageStats` instance.
+sending and the receiving side, and records every send that leaves a
+transmitter through :meth:`Network.record_send`, which feeds the
+:class:`~repro.net.stats.MessageStats` and, when tracing is on, writes the
+matching ``net/send`` trace record.
 
 Transports (:mod:`repro.net.udp`, :mod:`repro.net.tcp`,
 :mod:`repro.net.multicast`) are thin policies built on top of the two
 primitives :meth:`Network.transmit_unicast` and :meth:`Network.transmit_multicast`.
 
-Multicast is interest-filtered.  Each endpoint declares the message kinds it
-handles (:attr:`~repro.net.interfaces.Endpoint.kinds`, ``None`` for all), and
-the network keeps a per-kind receiver table: for every kind multicast so far,
-every endpoint in join order, with non-subscribers marked.  The table is
-built lazily and dropped on every :meth:`Network.join` / :meth:`Network.leave`
-(churn rejoin goes through ``join``).  A multicast copy still draws one
-transmission delay per non-sender endpoint, in join order, so the random
-streams are the same as unfiltered delivery; it posts a delivery only to
-subscribers and counts the rest in :attr:`Network.filtered`.  A message a
-receiver has no handler for would have been dropped on arrival, so every
-result is the same as broadcasting to all endpoints; only the event and
-delivery counts shrink.
+Delivery is interest-filtered.  Each endpoint declares the message kinds it
+handles (:attr:`~repro.net.interfaces.Endpoint.kinds`, ``None`` for all).  A
+message a receiver has no handler for would be dropped on arrival, so the
+network does not post it; it counts it in :attr:`Network.filtered` instead.
+Every random draw still happens, in the same order, so the random streams
+and every result are the same as delivering to all endpoints; only the event
+and delivery counts shrink.
+
+* Multicast: the network keeps a per-kind receiver table: for every kind
+  multicast so far, every endpoint in join order, with non-subscribers
+  marked.  The table is built lazily and dropped on every
+  :meth:`Network.join` / :meth:`Network.leave` (churn rejoin goes through
+  ``join``).  A copy still runs the cut check and the loss and delay draws
+  for every non-sender endpoint, in join order, and posts only to
+  subscribers.
+* Unicast: the send is recorded and runs the cut check, the loss draw and
+  the delay draw as always; the delivery is posted only when the receiver
+  handles the kind or the sender asked for an ``on_delivered`` callback
+  (which fires whether or not a handler exists).  This is what removes the
+  TCP SYN / SYN-ACK deliveries, which no node handles.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.net.addressing import Address, MULTICAST_GROUP, validate_address
 from repro.net.interfaces import Endpoint
@@ -66,8 +76,8 @@ class Network:
         # every endpoint in join order; filled lazily per multicast kind and
         # dropped on every membership change.
         self._receivers: Dict[str, List[Tuple[Address, Optional[Endpoint]]]] = {}
-        #: Multicast deliveries not posted because the receiver does not
-        #: handle the kind (each still drew its transmission delay).
+        #: Deliveries (multicast copies and unicasts) not posted because the
+        #: receiver does not handle the kind (each still drew its delay).
         self.filtered = 0
         #: Run-scoped message-id source: every message of a run draws from
         #: this counter (not the process-wide fallback), so ids are
@@ -224,7 +234,9 @@ class Network:
         node that transmits into a failed receiver still spent the message).
         Returns ``True`` when the message left the sender's transmitter; the
         eventual delivery happens one transmission delay later and only if
-        the receiver interface is up at that instant.
+        the receiver interface is up at that instant.  A receiver that does
+        not handle the kind is not posted to unless ``on_delivered`` is given
+        (see the module docstring); the send is otherwise unchanged.
         """
         sender_ep = self._endpoints.get(message.sender)
         if sender_ep is None:
@@ -242,10 +254,7 @@ class Network:
             return False
 
         if record:
-            self.stats.record_send(self.sim.now, message)
-            tracer = self.sim.tracer
-            if tracer.enabled:
-                self._trace_send(tracer, message, copies=1)
+            self.record_send(message)
         sender_ep.interface.counters.sent += 1
 
         if receiver_ep is None:
@@ -269,36 +278,46 @@ class Network:
         config = self.config
         min_delay = config.min_delay
         delay = min_delay + (config.max_delay - min_delay) * self._rand()
-        if on_delivered is None:
+        if on_delivered is not None:
+            self.sim.post(delay, self._deliver_with_callback, receiver_ep, message, on_delivered)
+            return True
+        kinds = receiver_ep.kinds
+        if kinds is None or message.kind in kinds:
             # Hot path: no closure, no Event allocation.
             self.sim.post(delay, receiver_ep.deliver, message)
         else:
-            self.sim.post(delay, self._deliver_with_callback, receiver_ep, message, on_delivered)
+            self.filtered += 1
         return True
 
-    def _trace_send(self, tracer: Any, message: Message, copies: int) -> None:
-        """Mirror one recorded send into the trace (``net/send`` records).
+    def record_send(self, message: Message, copies: int = 1) -> None:
+        """Record one logical send at the current time, and trace it.
 
-        Emitted exactly where :meth:`~repro.net.stats.MessageStats.record_send`
-        records the logical send, so a captured trace's message-kind counts
-        agree with the in-memory statistics (the ``trace summarize``
-        contract).  Only runs when tracing is enabled — the hot path pays a
-        single branch.
+        Every send on the wire is recorded here: unicasts and multicast
+        announcements by the primitives, and the segments of a TCP exchange
+        (the application message, data retransmissions and acknowledgements)
+        by :mod:`repro.net.tcp`.  When tracing is enabled the send is mirrored
+        as a ``net/send`` trace record, so a captured trace's message-kind
+        counts agree with the in-memory statistics (the ``trace summarize``
+        contract); otherwise the cost is a single branch.
         """
-        tracer.record(
-            self.sim.now,
-            "net",
-            "send",
-            protocol=message.protocol,
-            kind=message.kind,
-            sender=message.sender,
-            receiver=message.receiver,
-            layer=message.layer.value,
-            update_related=message.update_related,
-            multicast=message.is_multicast,
-            copies=copies,
-            msg_id=message.msg_id,
-        )
+        sim = self.sim
+        self.stats.record_send(sim.now, message, copies)
+        tracer = sim.tracer
+        if tracer.enabled:
+            tracer.record(
+                sim.now,
+                "net",
+                "send",
+                protocol=message.protocol,
+                kind=message.kind,
+                sender=message.sender,
+                receiver=message.receiver,
+                layer=message.layer.value,
+                update_related=message.update_related,
+                multicast=message.is_multicast,
+                copies=copies,
+                msg_id=message.msg_id,
+            )
 
     @staticmethod
     def _deliver_with_callback(
@@ -361,10 +380,7 @@ class Network:
             # so that Table 2 style accounting counts announcements once while
             # the redundant copies remain visible via ``count_copies=True``.
             state["recorded"] = True
-            self.stats.record_send(self.sim.now, message, copies=copies)
-            tracer = self.sim.tracer
-            if tracer.enabled:
-                self._trace_send(tracer, message, copies=copies)
+            self.record_send(message, copies)
         sender_ep.interface.counters.sent += 1
         rand = self._rand
         config = self.config

@@ -2,24 +2,36 @@
 
 The Update Efficiency and Efficiency Degradation metrics need, per run, the
 total number of update-related discovery-layer messages sent at or after the
-service-change time (*y* in the paper).  :class:`MessageStats` records every
-transmission attempt with its time, kind, layer and flags, and provides the
-aggregation queries used by :mod:`repro.core.metrics`.
+service-change time (*y* in the paper).  :class:`MessageStats` keeps two
+things:
+
+* a histogram of every send keyed by ``(protocol, kind, layer,
+  update_related, multicast)``, holding ``[sends, copies]``, which answers
+  every unwindowed query (totals, per-layer and per-kind counts, *y* over
+  the whole run);
+* a timed :class:`SentMessage` for each update-related send, which answers
+  the change-time-windowed queries (``since=``) the metrics make.
+
+Sends that are not update-related (transport segments, lookups, renewals)
+are only counted: no query needs their send time.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.net.messages import Message, MessageLayer
 
+#: Histogram key: ``(protocol, kind, layer, update_related, multicast)``.
+SendKey = Tuple[str, str, MessageLayer, bool, bool]
+
 
 class SentMessage:
-    """A single recorded transmission attempt.
+    """One recorded update-related send, with its time.
 
     A ``__slots__`` class (not a dataclass): one is allocated per
-    transmission attempt, which makes it hot-path state at large N.
+    update-related send.
     """
 
     __slots__ = (
@@ -66,103 +78,77 @@ class SentMessage:
 class MessageStats:
     """Accumulates every transmission attempt made on a :class:`~repro.net.network.Network`.
 
-    The unfiltered aggregates (``total_sent()`` / ``update_messages()``
-    without a ``since`` bound) are maintained *incrementally* at record time,
-    so the hot aggregate queries are O(1) instead of rescanning the full
-    send list; only time-windowed queries walk the list.
+    Unwindowed queries read the send histogram, whose size is the number of
+    distinct message kinds, not the number of sends.  Queries with a
+    ``since`` bound read the timed records, which exist only for
+    update-related sends, so they require ``update_related``.
     """
 
     def __init__(self) -> None:
-        self._sent: List[SentMessage] = []
-        # Incremental aggregates, updated once per record_send.  Each entry
-        # is a [count, copies] pair so count_copies toggles cost nothing.
-        self._copies_total = 0
-        self._multicast_total = 0
-        self._by_layer: Dict[MessageLayer, List[int]] = {}
-        self._update_discovery = [0, 0]  # update-related, discovery layer only
-        self._update_any = [0, 0]  # update-related, transport included
+        self._histogram: Dict[SendKey, List[int]] = {}
+        self._updates: List[SentMessage] = []
 
     def __len__(self) -> int:
-        return len(self._sent)
+        return sum(pair[0] for pair in self._histogram.values())
 
     @property
     def sent(self) -> List[SentMessage]:
-        """All recorded transmissions in send order."""
-        return self._sent
+        """The update-related sends, in send order."""
+        return self._updates
 
     @property
     def total_copies(self) -> int:
-        """Physical copies sent, multicast redundancy included (O(1))."""
-        return self._copies_total
+        """Physical copies sent, multicast redundancy included."""
+        return sum(pair[1] for pair in self._histogram.values())
 
     @property
     def multicast_sends(self) -> int:
-        """Logical multicast announcements recorded (O(1))."""
-        return self._multicast_total
+        """Logical multicast announcements recorded."""
+        return sum(pair[0] for key, pair in self._histogram.items() if key[4])
+
+    @property
+    def histogram(self) -> Dict[SendKey, List[int]]:
+        """``[sends, copies]`` per :data:`SendKey`, over every recorded send."""
+        return self._histogram
 
     def counts_by_layer(self) -> Dict[str, int]:
-        """Logical send counts per accounting layer (O(1); telemetry)."""
-        return {layer.value: pair[0] for layer, pair in sorted(self._by_layer.items())}
+        """Logical send counts per accounting layer (telemetry)."""
+        counts: Counter = Counter()
+        for key, pair in self._histogram.items():
+            counts[key[2].value] += pair[0]
+        return dict(sorted(counts.items()))
 
     def record_send(self, time: float, message: Message, copies: int = 1) -> None:
         """Record a transmission attempt (``copies`` > 1 for redundant multicast)."""
-        layer = message.layer
         update_related = message.update_related
-        self._sent.append(
-            SentMessage(
-                time=time,
-                sender=message.sender,
-                receiver=message.receiver,
-                protocol=message.protocol,
-                kind=message.kind,
-                layer=layer,
-                update_related=update_related,
-                multicast=message.is_multicast,
-                copies=copies,
-            )
-        )
-        self._copies_total += copies
-        if message.is_multicast:
-            self._multicast_total += 1
-        pair = self._by_layer.get(layer)
+        multicast = message.is_multicast
+        key = (message.protocol, message.kind, message.layer, update_related, multicast)
+        pair = self._histogram.get(key)
         if pair is None:
-            pair = self._by_layer[layer] = [0, 0]
+            pair = self._histogram[key] = [0, 0]
         pair[0] += 1
         pair[1] += copies
         if update_related:
-            self._update_any[0] += 1
-            self._update_any[1] += copies
-            if layer == MessageLayer.DISCOVERY:
-                self._update_discovery[0] += 1
-                self._update_discovery[1] += copies
+            self._updates.append(
+                SentMessage(
+                    time,
+                    message.sender,
+                    message.receiver,
+                    message.protocol,
+                    message.kind,
+                    message.layer,
+                    True,
+                    multicast,
+                    copies,
+                )
+            )
 
     # ------------------------------------------------------------------ queries
-    def total_sent(
-        self,
-        layer: Optional[MessageLayer] = None,
-        since: Optional[float] = None,
-        count_copies: bool = False,
-    ) -> int:
-        """Total transmissions, optionally restricted by layer and start time.
-
-        Unwindowed queries (``since is None``) are answered from the
-        incremental counters in O(1); a ``since`` bound falls back to the
-        list scan.
-        """
-        if since is None:
-            index = 1 if count_copies else 0
-            if layer is None:
-                return self._copies_total if count_copies else len(self._sent)
-            pair = self._by_layer.get(layer)
-            return 0 if pair is None else pair[index]
-        total = 0
-        for rec in self._sent:
-            if layer is not None and rec.layer != layer:
-                continue
-            if rec.time < since:
-                continue
-            total += rec.copies if count_copies else 1
-        return total
+    def total_sent(self, layer: Optional[MessageLayer] = None, count_copies: bool = False) -> int:
+        """Total transmissions, optionally restricted to one layer."""
+        index = 1 if count_copies else 0
+        pairs = self._histogram.items()
+        return sum(pair[index] for key, pair in pairs if layer is None or key[2] == layer)
 
     def update_messages(
         self,
@@ -172,16 +158,18 @@ class MessageStats:
     ) -> int:
         """Number of update-related messages (*y* in the efficiency metrics).
 
-        O(1) when unwindowed (``since is None``); the change-time-windowed
-        form used by the metrics scans the list.
+        Unwindowed (``since is None``) it reads the histogram; the
+        change-time-windowed form used by the metrics scans the timed
+        update-related records.
         """
-        if since is None:
-            pair = self._update_any if include_transport else self._update_discovery
-            return pair[1] if count_copies else pair[0]
         total = 0
-        for rec in self._sent:
-            if not rec.update_related:
-                continue
+        if since is None:
+            index = 1 if count_copies else 0
+            for (_, _, layer, update_related, _), pair in self._histogram.items():
+                if update_related and (include_transport or layer == MessageLayer.DISCOVERY):
+                    total += pair[index]
+            return total
+        for rec in self._updates:
             if not include_transport and rec.layer != MessageLayer.DISCOVERY:
                 continue
             if rec.time < since:
@@ -195,31 +183,34 @@ class MessageStats:
         since: Optional[float] = None,
         update_related: Optional[bool] = None,
     ) -> Dict[str, int]:
-        """Histogram of message kinds (``protocol.kind`` keys).
+        """Histogram of logical sends by ``protocol.kind``.
 
         ``update_related`` restricts the histogram to messages with (``True``)
-        or without (``False``) the accounting flag; ``None`` counts both.
+        or without (``False``) the accounting flag; ``None`` counts both.  A
+        ``since`` bound needs ``update_related=True``: only update-related
+        sends keep their send time.
         """
         counter: Counter = Counter()
-        for rec in self._sent:
-            if layer is not None and rec.layer != layer:
+        if since is not None:
+            if update_related is not True:
+                raise ValueError("a since bound needs update_related=True")
+            for rec in self._updates:
+                if rec.time >= since and (layer is None or rec.layer == layer):
+                    counter[f"{rec.protocol}.{rec.kind}"] += 1
+            return dict(counter)
+        for (protocol, kind, key_layer, key_update, _), pair in self._histogram.items():
+            if layer is not None and key_layer != layer:
                 continue
-            if since is not None and rec.time < since:
+            if update_related is not None and key_update != update_related:
                 continue
-            if update_related is not None and rec.update_related != update_related:
-                continue
-            counter[f"{rec.protocol}.{rec.kind}"] += 1
+            counter[f"{protocol}.{kind}"] += pair[0]
         return dict(counter)
 
-    def transport_overhead(self, since: Optional[float] = None) -> int:
+    def transport_overhead(self) -> int:
         """Number of transport-layer messages (TCP segments and acknowledgements)."""
-        return self.total_sent(layer=MessageLayer.TRANSPORT, since=since)
+        return self.total_sent(layer=MessageLayer.TRANSPORT)
 
     def clear(self) -> None:
         """Reset all counters."""
-        self._sent.clear()
-        self._copies_total = 0
-        self._multicast_total = 0
-        self._by_layer.clear()
-        self._update_discovery = [0, 0]
-        self._update_any = [0, 0]
+        self._histogram.clear()
+        self._updates.clear()

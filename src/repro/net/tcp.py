@@ -20,7 +20,11 @@ Transport segments (SYN, SYN-ACK, data retransmissions, acknowledgements) are
 recorded as :class:`~repro.net.messages.MessageLayer.TRANSPORT` messages so
 that they can be reported separately; the paper's efficiency metrics for
 UPnP/Jini "do not take into account the messages used by the transmission
-layers".
+layers".  Every segment, and the application message itself, is recorded
+through :meth:`~repro.net.network.Network.record_send`, so traces carry a
+``net/send`` record for each.  The SYN and SYN-ACK go through
+:meth:`~repro.net.network.Network.transmit_unicast` for their loss and delay
+draws; no node handles them, so interest filtering never posts them.
 """
 
 from __future__ import annotations
@@ -138,7 +142,7 @@ class _TcpExchange:
             return
         # The application-layer message is accounted exactly once, when the
         # established connection first carries it.
-        self.network.stats.record_send(self.sim.now, self.message)
+        self.network.record_send(self.message)
         self._attempt_data(first=True)
 
     def _attempt_data(self, first: bool = False) -> None:
@@ -155,7 +159,7 @@ class _TcpExchange:
                 size_bytes=self.message.size_bytes,
                 msg_id=next(self.network.msg_ids),
             )
-            self.network.stats.record_send(self.sim.now, retrans)
+            self.network.record_send(retrans)
 
         src = self.message.sender
         dst = self.message.receiver
@@ -175,7 +179,7 @@ class _TcpExchange:
                 size_bytes=40,
                 msg_id=next(self.network.msg_ids),
             )
-            self.network.stats.record_send(self.sim.now, ack)
+            self.network.record_send(ack)
             self.sim.post(delay, self._deliver)
             return
         if self.data_attempt >= self.config.max_data_retries:

@@ -17,12 +17,13 @@ Field glossary (see also EXPERIMENTS.md, "Observability")
 ---------------------------------------------------------
 ``engine.events_scheduled``
     Total calendar keys drawn (cancellable events + fire-and-forget posts +
-    timers; the calendar's one sequence counter counts them all).  Multicast
-    is interest-filtered, so no key is drawn for a copy to an endpoint that
-    does not handle its kind (see :mod:`repro.net.network`).
+    timers; the calendar's one sequence counter counts them all).  Delivery
+    is interest-filtered, so no key is drawn for a multicast copy or a
+    unicast to an endpoint that does not handle its kind (see
+    :mod:`repro.net.network`).
 ``engine.events_fired``
-    Callbacks actually executed by the run loop (filtered multicast copies
-    are never posted, so they are not among them).
+    Callbacks actually executed by the run loop (filtered deliveries are
+    never posted, so they are not among them).
 ``engine.events_cancelled``
     Cancellations of calendar events other than timers (timer cancellations
     count separately).
@@ -51,9 +52,13 @@ Field glossary (see also EXPERIMENTS.md, "Observability")
     the metric *y* additionally applies the change-time window).
 ``net.delivered``
     Messages that reached a receiver handler (receiver interface up).
-    Multicast copies to endpoints that do not handle their kind are not
-    posted and count neither here nor in ``net.dropped_rx``; the network
-    counts them in ``Network.filtered``, which is not part of RunTelemetry.
+    Filtered deliveries count neither here nor in ``net.dropped_rx``.
+``net.filtered``
+    Deliveries not posted because the receiver does not handle the kind:
+    multicast copies, and unicasts sent without an ``on_delivered``
+    callback (chiefly TCP SYN / SYN-ACK segments).  Each still drew its
+    transmission delay.  Together with ``delivered``, ``dropped_rx`` and
+    the wire drops it says where every delivery attempt went (schema v4).
 ``net.dropped_tx`` / ``net.dropped_rx``
     Transmission attempts suppressed by a downed transmitter / deliveries
     suppressed by a downed receiver, summed over all interfaces.
@@ -89,7 +94,7 @@ if TYPE_CHECKING:  # imported for annotations only
     from repro.sim.engine import Simulator
 
 #: Version of the RunTelemetry dict layout (bumped on incompatible changes).
-TELEMETRY_SCHEMA_VERSION = 3
+TELEMETRY_SCHEMA_VERSION = 4
 
 
 def collect_run_telemetry(
@@ -136,6 +141,7 @@ def collect_run_telemetry(
             "dropped_tx": dropped_tx,
             "dropped_rx": dropped_rx,
             "link_losses": network.link_losses,
+            "filtered": network.filtered,
         },
     }
     if injector is not None:

@@ -85,8 +85,8 @@ class FederationMonitor:
         (each registry's observed share of *y*)."""
         wanted = set(registry_ids)
         counts = {registry_id: 0 for registry_id in registry_ids}
-        for rec in stats.sent:
-            if rec.time < since or not rec.update_related:
+        for rec in stats.sent:  # update-related sends only
+            if rec.time < since:
                 continue
             if rec.layer != MessageLayer.DISCOVERY or rec.sender not in wanted:
                 continue

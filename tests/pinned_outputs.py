@@ -1,12 +1,13 @@
 """Shared helpers for the tests that compare runs against pinned outputs.
 
-Multicast is interest-filtered: a copy is posted only to endpoints that
-handle its kind.  Filtering never changes a result, only the work done, so
-the tests compare result fields against the pinned fixtures and leave out
-the cost counters that count that work.  :func:`broadcast_delivery` restores
-the unfiltered reference (every endpoint receives every kind), under which
-the fixtures still match byte for byte.  It exists only here: the program
-has no option for it.
+Delivery is interest-filtered: a multicast copy, or a unicast without an
+``on_delivered`` callback, is posted only to endpoints that handle its kind.
+Filtering never changes a result, only the work done, so the tests compare
+result fields against the pinned fixtures and leave out the cost counters
+that count that work.  :func:`broadcast_delivery` restores the unfiltered
+reference (every endpoint receives every kind), under which the fixtures
+still match byte for byte.  It exists only here: the program has no option
+for it.
 """
 
 import contextlib
@@ -48,10 +49,11 @@ FAMILY_FIXTURES = {
 }
 
 #: RunTelemetry counters that count calendar events and deliveries, which
-#: interest filtering lowers: section -> keys.
+#: interest filtering moves: section -> keys.  ``net.filtered`` (schema
+#: version 4) counts the deliveries it saves; the fixtures predate it.
 COST_TELEMETRY = {
     "engine": ("events_scheduled", "events_fired"),
-    "net": ("delivered", "dropped_rx"),
+    "net": ("delivered", "dropped_rx", "filtered"),
 }
 
 #: RunTelemetry counters that describe the calendar heap's shape rather than
@@ -71,14 +73,16 @@ def strip_scenario_telemetry(data):
 
     The simulation itself must be untouched by the scenario layer; only the
     *reporting* grew (schema version 2: a ``failures`` section and the
-    ``net.link_losses`` counter).  Schema version 3 only dropped calendar
-    shape counters, which :func:`without_calendar_shape` leaves out.
+    ``net.link_losses`` counter; version 4: the ``net.filtered`` counter).
+    Schema version 3 only dropped calendar shape counters, which
+    :func:`without_calendar_shape` leaves out.
     """
     for run in data["runs"]:
         telemetry = run["details"]["telemetry"]
-        assert telemetry["version"] == 3
+        assert telemetry["version"] == 4
         telemetry.pop("failures", None)
         assert telemetry["net"].pop("link_losses") == 0  # table4 has no loss windows
+        del telemetry["net"]["filtered"]
     return data
 
 
@@ -101,7 +105,7 @@ def without_cost_counters(run):
     telemetry = details["telemetry"]
     for section, keys in COST_TELEMETRY.items():
         for key in keys:
-            del telemetry[section][key]
+            telemetry[section].pop(key, None)  # fixtures have no ``filtered``
     return run
 
 

@@ -1,14 +1,17 @@
 """Interest-filter differential battery.
 
-Multicast copies are posted only to endpoints that handle their kind.  The
-reference is broadcast delivery (:func:`pinned_outputs.broadcast_delivery`):
-every endpoint receives every copy and drops the kinds it has no handler
-for.  This battery pins that the two are the same simulation:
+Multicast copies, and unicasts sent without an ``on_delivered`` callback
+(TCP SYN / SYN-ACK segments above all), are posted only to endpoints that
+handle their kind.  The reference is broadcast delivery
+(:func:`pinned_outputs.broadcast_delivery`): every endpoint receives every
+message and drops the kinds it has no handler for.  This battery pins that
+the two are the same simulation:
 
 * under the reference, the fixtures pinned before filtering existed still
   match exactly (serial sweeps), except for the calendar heap-shape counters
   (``pinned_outputs.CALENDAR_SHAPE``), which the one-calendar engine
-  changed; every count of work matches, ``executed_events`` included;
+  changed, and ``net.filtered``, which the fixtures predate (0 under the
+  reference); every count of work matches, ``executed_events`` included;
 * for every registered system x {table4, lossy, partition, churn, restart},
   every result field is equal between the two modes;
 * the work filtering saves is accounted for exactly: every calendar key not
@@ -62,6 +65,9 @@ def test_reference_reproduces_family_fixture(tmp_path, broadcast, scenario):
     assert main([*argv, "--out", str(out)]) == 0
     expected = json.loads(open(fixture).read())
     produced = json.loads(out.read_text())
+    for run in produced["runs"]:
+        # Every endpoint subscribes to every kind; the fixture predates the counter.
+        assert run["details"]["telemetry"]["net"].pop("filtered") == 0
     assert without_calendar_shape(produced) == without_calendar_shape(expected)
 
 
@@ -98,6 +104,7 @@ def test_filtered_and_broadcast_runs_agree(system, scenario):
         # under the reference, so in-flight deliveries join both sides.
         net = filtered_run["details"]["telemetry"]["net"]
         ref_net = reference["details"]["telemetry"]["net"]
+        assert (net["filtered"], ref_net["filtered"]) == (filtered, 0)
         assert (
             net["delivered"] + net["dropped_rx"] + in_flight + filtered
             == ref_net["delivered"] + ref_net["dropped_rx"] + ref_in_flight

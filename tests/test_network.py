@@ -225,3 +225,73 @@ def test_churned_node_receives_nothing_away_and_its_kinds_after_rejoin():
     assert node.endpoint.interface.counters.received == 2
     # The generic receiver heard every copy throughout.
     assert len(inboxes["node-1"]) == 6
+
+
+def _unicasts_to_pinger(kinds, subscribe=True, loss=0.0, cut=False):
+    """Unicast ``kinds`` from a generic node to a ``_Pinger`` (handles only
+    ``ping``), one every second; ``subscribe=False`` is the reference where
+    the pinger's endpoint takes every kind.  Returns (what the pinger heard,
+    the network, events fired)."""
+    sim, network, _ = make_network(1)
+    node = _Pinger(sim, network, "pinger")
+    if not subscribe:
+        node.endpoint.kinds = None
+    if loss:
+        network.push_loss(loss)
+    if cut:
+        network.cut_link("node-0", "pinger")
+    for index, kind in enumerate(kinds):
+        sim.schedule_at(float(index), network.transmit_unicast, msg("node-0", "pinger", kind))
+    sim.run()
+    return node.heard, network, sim.executed_events
+
+
+def test_unicast_of_unhandled_kind_is_not_posted_and_keeps_delays():
+    kinds = ("pong", "ping", "pong", "ping")
+    heard, network, events = _unicasts_to_pinger(kinds)
+    ref_heard, ref_network, ref_events = _unicasts_to_pinger(kinds, subscribe=False)
+    assert [kind for _, kind in heard] == ["ping", "ping"]
+    # The filtered sends drew their delays: later arrivals do not move.
+    assert heard == ref_heard
+    assert (network.filtered, ref_network.filtered) == (2, 0)
+    assert ref_events - events == 2
+    # The sends are still spent and recorded.
+    assert len(network.stats) == len(ref_network.stats) == 4
+    assert network.endpoint("pinger").interface.counters.received == 2
+
+
+def test_unicast_with_on_delivered_is_posted_even_when_unhandled():
+    sim, network, _ = make_network(1)
+    node = _Pinger(sim, network, "pinger")
+    delivered = []
+    network.transmit_unicast(msg("node-0", "pinger", "pong"), on_delivered=delivered.append)
+    sim.run()
+    assert [m.kind for m in delivered] == ["pong"]
+    assert node.heard == []
+    assert network.filtered == 0
+    assert node.endpoint.interface.counters.received == 1
+
+
+def test_endpoint_without_declared_kinds_receives_every_unicast_kind():
+    sim, network, inboxes = make_network(2)
+    for kind in ("ping", "pong", "tcp_syn"):
+        network.transmit_unicast(msg("node-0", "node-1", kind=kind))
+    sim.run()
+    assert [m.kind for m in inboxes["node-1"]] == ["ping", "pong", "tcp_syn"]
+    assert network.filtered == 0
+
+
+def test_unicast_filter_keeps_cut_and_loss_accounting():
+    kinds = ("pong", "ping") * 20
+    heard, network, _ = _unicasts_to_pinger(kinds, loss=0.5)
+    ref_heard, ref_network, _ = _unicasts_to_pinger(kinds, subscribe=False, loss=0.5)
+    assert heard == ref_heard
+    assert 0 < network.link_losses == ref_network.link_losses < len(kinds)
+    lost_pongs = 20 - network.filtered
+    assert 0 < lost_pongs < 20  # a lost send is a loss, not a filtered delivery
+
+    heard, network, _ = _unicasts_to_pinger(kinds, cut=True)
+    _, ref_network, _ = _unicasts_to_pinger(kinds, subscribe=False, cut=True)
+    assert heard == []
+    assert network.link_cut_drops == ref_network.link_cut_drops == len(kinds)
+    assert network.filtered == 0

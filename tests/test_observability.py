@@ -38,6 +38,7 @@ from repro.obs.sinks import (
     read_trace_header,
     trace_filename,
 )
+from repro.protocols.registry import SYSTEMS
 from repro.sim.events import EventQueue
 from repro.sim.tracing import TraceRecord, Tracer
 
@@ -166,19 +167,27 @@ def test_observability_never_perturbs_results(tmp_path):
     assert baseline == traced == streamed
 
 
-def test_trace_capture_agrees_with_message_stats(tmp_path):
-    path = str(tmp_path / "cell.ndjson")
+def _traced_run(tmp_path, spec):
+    """Run ``spec`` with its trace streamed to a file: (network stats, trace path)."""
+    path = str(tmp_path / f"{spec.system}.ndjson")
     runner = ExperimentRunner()
-    context = runner.setup(replace(SPEC, trace_path=path))
+    context = runner.setup(replace(spec, trace_path=path))
     runner.execute(context)
+    return context.network.stats, path
 
-    stats_counts = context.network.stats.counts_by_kind()
-    trace_counts = kind_counts(iter_trace_file(path))
-    assert trace_counts == stats_counts
-    assert summarize([path])["message_kinds"] == stats_counts
 
-    update_only = kind_counts(iter_trace_file(path), update_related=True)
-    assert update_only == context.network.stats.counts_by_kind(update_related=True)
+def test_trace_capture_agrees_with_message_stats(tmp_path):
+    # Every registered system: UPnP and Jini send over TCP, whose segments
+    # and application messages must reach the trace too.
+    for system in SYSTEMS.names():
+        stats, path = _traced_run(tmp_path, replace(SPEC, system=system))
+        stats_counts = stats.counts_by_kind()
+        trace_counts = kind_counts(iter_trace_file(path))
+        assert trace_counts == stats_counts, system
+        assert summarize([path])["message_kinds"] == stats_counts, system
+
+        update_only = kind_counts(iter_trace_file(path), update_related=True)
+        assert update_only == stats.counts_by_kind(update_related=True), system
 
 
 # --------------------------------------------------------------------------- counters
@@ -217,33 +226,51 @@ def test_run_telemetry_is_deterministic_and_consistent():
     assert net["sends_by_layer"] == stats.counts_by_layer()
     assert sum(net["sends_by_layer"].values()) == net["sends"]
     assert net["update_sends"] == stats.update_messages()
+    assert net["filtered"] == context.network.filtered > 0  # unhandled kinds are not posted
     assert net["dropped_tx"] >= 0 and net["dropped_rx"] >= 0  # failures at 20%
 
     again = runner.run(SPEC).details["telemetry"]
     assert again == telemetry  # counters are pure functions of seed + spec
 
 
-def test_message_stats_incremental_aggregates_match_list_scan():
-    runner = ExperimentRunner()
-    context = runner.setup(SPEC_B)  # upnp: multicast announcements + TCP transport
-    runner.execute(context)
-    stats = context.network.stats
-    sent = stats.sent
+def test_message_stats_incremental_aggregates_match_list_scan(tmp_path):
+    # upnp: multicast announcements + TCP transport.  The trace's net/send
+    # records list every send, so every aggregate is checked against them.
+    stats, path = _traced_run(tmp_path, SPEC_B)
+    sent = [r for r in iter_trace_file(path) if r.category == "net" and r.event == "send"]
     assert len(sent) > 0
 
-    assert stats.total_sent() == len(sent)
-    assert stats.total_sent(count_copies=True) == sum(m.copies for m in sent)
-    assert stats.total_copies == sum(m.copies for m in sent)
-    assert stats.multicast_sends == sum(1 for m in sent if m.multicast)
+    histogram = {}
+    for r in sent:
+        layer = MessageLayer(r.get("layer"))
+        key = (r.get("protocol"), r.get("kind"), layer, r.get("update_related"), r.get("multicast"))
+        sends, copies = histogram.get(key, [0, 0])
+        histogram[key] = [sends + 1, copies + r.get("copies")]
+    assert stats.histogram == histogram
+
+    assert len(stats) == stats.total_sent() == len(sent)
+    assert stats.total_sent(count_copies=True) == sum(r.get("copies") for r in sent)
+    assert stats.total_copies == sum(r.get("copies") for r in sent)
+    assert stats.multicast_sends == sum(1 for r in sent if r.get("multicast"))
     for layer in (MessageLayer.DISCOVERY, MessageLayer.TRANSPORT):
-        assert stats.total_sent(layer=layer) == sum(1 for m in sent if m.layer == layer)
-        # The O(1) answer must equal the windowed scan from the start of time.
-        assert stats.total_sent(layer=layer) == stats.total_sent(layer=layer, since=0.0)
+        in_layer = [r for r in sent if r.get("layer") == layer.value]
+        assert stats.total_sent(layer=layer) == len(in_layer)
+    assert stats.transport_overhead() == stats.total_sent(layer=MessageLayer.TRANSPORT) > 0
     by_layer = {
         MessageLayer.DISCOVERY.value: stats.total_sent(layer=MessageLayer.DISCOVERY),
         MessageLayer.TRANSPORT.value: stats.total_sent(layer=MessageLayer.TRANSPORT),
     }
     assert stats.counts_by_layer() == {k: v for k, v in by_layer.items() if v}
+
+    updates = [r for r in sent if r.get("update_related")]
+    discovery_updates = [r for r in updates if r.get("layer") == MessageLayer.DISCOVERY.value]
+    assert stats.update_messages() == len(discovery_updates)
+    assert stats.update_messages(include_transport=True) == len(updates)
+    update_copies = sum(r.get("copies") for r in discovery_updates)
+    assert stats.update_messages(count_copies=True) == update_copies
+    # Timed records exist for exactly the update-related sends, so the
+    # windowed scan from the start of time equals the histogram answer.
+    assert len(stats.sent) == len(updates)
     assert stats.update_messages() == stats.update_messages(since=0.0)
     assert stats.update_messages(include_transport=True) == stats.update_messages(
         since=0.0, include_transport=True
@@ -251,6 +278,15 @@ def test_message_stats_incremental_aggregates_match_list_scan():
     assert stats.update_messages(count_copies=True) == stats.update_messages(
         since=0.0, count_copies=True
     )
+    assert stats.counts_by_kind(update_related=True) == stats.counts_by_kind(
+        since=0.0, update_related=True
+    )
+    change = SPEC_B.change_time
+    assert stats.update_messages(since=change) == sum(
+        1 for r in discovery_updates if r.time >= change
+    )
+    with pytest.raises(ValueError):
+        stats.counts_by_kind(since=change)  # only update-related sends keep a time
 
     stats.clear()
     assert stats.total_sent() == 0
@@ -258,6 +294,7 @@ def test_message_stats_incremental_aggregates_match_list_scan():
     assert stats.multicast_sends == 0
     assert stats.counts_by_layer() == {}
     assert stats.update_messages(include_transport=True) == 0
+    assert stats.sent == []
 
 
 # --------------------------------------------------------------------------- warm workers

@@ -115,13 +115,14 @@ def test_no_update_messages_counted_before_change(system):
 
 @pytest.mark.parametrize("system", ALL_SYSTEMS)
 def test_update_tagging_matches_protocol_declaration(system):
+    # Every discovery-layer key of the send histogram, update-related or not.
     _, context = zero_failure_run(system)
-    for rec in context.network.stats.sent:
-        if rec.layer is not MessageLayer.DISCOVERY:
-            continue
-        declared = rec.kind in update_related_kinds(rec.protocol)
-        assert rec.update_related == declared, (
-            f"{system}: {rec.protocol}.{rec.kind} tagged update_related={rec.update_related} "
+    keys = [key for key in context.network.stats.histogram if key[2] is MessageLayer.DISCOVERY]
+    assert {update_related for _, _, _, update_related, _ in keys} == {True, False}
+    for protocol, kind, _, update_related, _ in keys:
+        declared = kind in update_related_kinds(protocol)
+        assert update_related == declared, (
+            f"{system}: {protocol}.{kind} tagged update_related={update_related} "
             f"but the protocol declaration says {declared}"
         )
 
