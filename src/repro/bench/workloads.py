@@ -171,8 +171,8 @@ def _scale_workloads(quick: bool, names: Sequence[str]) -> List[BenchWorkload]:
 
     These time the simulator core at scale: a handful of cells each, because
     one N=1000 cell already executes ~1M events.  ``system:frodo3@10000`` is
-    excluded from ``quick`` runs (minutes per cell); everything else is sized
-    to stay CI-friendly.
+    excluded from ``quick`` runs (about 17 s per cell on a 2-CPU VM, once per
+    executor); everything else is sized to stay CI-friendly.
     """
     # Identical spec in both variants (the rate-0 cell is the cheap one):
     # CI's quick numbers are then directly comparable to the committed full

@@ -15,17 +15,27 @@ Delivery is interest-filtered.  Each endpoint declares the message kinds it
 handles (:attr:`~repro.net.interfaces.Endpoint.kinds`, ``None`` for all).  A
 message a receiver has no handler for would be dropped on arrival, so the
 network does not post it; it counts it in :attr:`Network.filtered` instead.
-Every random draw still happens, in the same order, so the random streams
-and every result are the same as delivering to all endpoints; only the event
-and delivery counts shrink.
+Every random stream still advances exactly as if every delivery drew its
+delay, in the same order, so every result is the same as delivering to all
+endpoints; only the event and delivery counts shrink.
 
-* Multicast: the network keeps a per-kind receiver table: for every kind
-  multicast so far, every endpoint in join order, with non-subscribers
-  marked.  The table is built lazily and dropped on every
-  :meth:`Network.join` / :meth:`Network.leave` (churn rejoin goes through
-  ``join``).  A copy still runs the cut check and the loss and delay draws
-  for every non-sender endpoint, in join order, and posts only to
-  subscribers.
+* Multicast: the network keeps one receiver table per kind multicast so
+  far, built lazily and dropped on every :meth:`Network.join` /
+  :meth:`Network.leave` (churn rejoin goes through ``join``) and on
+  :meth:`Network.close`.  It lists the subscribers in join order as
+  segments ``(skip_before, address, endpoint)``, where ``skip_before``
+  counts the non-subscribers since the previous subscriber, plus a tail
+  count of trailing non-subscribers.  Without loss windows or cut links a
+  copy skips each run of non-subscribers with one C call: CPython's
+  ``random()`` consumes exactly two 32-bit Mersenne Twister words and
+  ``getrandbits(64 * n)`` exactly ``2n``, so ``getrandbits(skip << 6)``
+  leaves the delay stream where ``skip`` discarded delay draws would.  It
+  then draws a delay and posts for each subscriber.  The sender is never a
+  receiver: a subscriber sender is passed over with no draw, and a
+  non-subscriber sender shortens its own run by one.  Inside a loss window
+  or with a link cut, loss outcomes decide how many delays are drawn, so a
+  copy goes receiver by receiver over every endpoint in join order: cut
+  check, loss draw, delay draw, and a post only to subscribers.
 * Unicast: the send is recorded and runs the cut check, the loss draw and
   the delay draw as always; the delivery is posted only when the receiver
   handles the kind or the sender asked for an ``on_delivered`` callback
@@ -45,6 +55,9 @@ from repro.net.messages import Message
 from repro.net.stats import MessageStats
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
+
+#: One kind's multicast receiver table: ``(segments, tail, runs)``.
+_Segments = Tuple[List[Tuple[int, Address, Endpoint]], int, Dict[Address, int]]
 
 
 @dataclass
@@ -72,12 +85,14 @@ class Network:
         self.config = config if config is not None else NetworkConfig()
         self.stats = MessageStats()
         self._endpoints: Dict[Address, Endpoint] = {}
-        # kind -> [(address, endpoint or None for a non-subscriber)] over
-        # every endpoint in join order; filled lazily per multicast kind and
-        # dropped on every membership change.
-        self._receivers: Dict[str, List[Tuple[Address, Optional[Endpoint]]]] = {}
+        # kind -> (segments, tail, runs), the multicast receiver table (see the
+        # module docstring); ``runs`` maps each non-subscriber to the index of
+        # the segment whose ``skip_before`` counts it (``len(segments)`` for
+        # the tail).  Filled lazily per kind, dropped on membership changes.
+        self._segments: Dict[str, _Segments] = {}
         #: Deliveries (multicast copies and unicasts) not posted because the
-        #: receiver does not handle the kind (each still drew its delay).
+        #: receiver does not handle the kind (each still advanced the delay
+        #: stream by one draw).
         self.filtered = 0
         #: Run-scoped message-id source: every message of a run draws from
         #: this counter (not the process-wide fallback), so ids are
@@ -90,6 +105,7 @@ class Network:
         delay_stream = rng.stream("network", "delay")
         self._uniform = delay_stream.uniform
         self._rand = delay_stream.random
+        self._skip_words = delay_stream.getrandbits
         # Lossy-link state (scenario library).  ``_loss_p`` is the combined
         # drop probability of the active loss windows; the delivery paths pay
         # one falsy check while it is zero.  The dedicated ``network/loss``
@@ -116,13 +132,13 @@ class Network:
         if address in self._endpoints:
             raise ValueError(f"address already joined: {address!r}")
         self._endpoints[address] = endpoint
-        self._receivers.clear()
+        self._segments.clear()
         return endpoint
 
     def leave(self, address: Address) -> None:
         """Remove an endpoint from the network."""
         if self._endpoints.pop(address, None) is not None:
-            self._receivers.clear()
+            self._segments.clear()
 
     def endpoint(self, address: Address) -> Endpoint:
         """Return the endpoint registered under ``address``."""
@@ -140,14 +156,21 @@ class Network:
         """All registered endpoints, in join order (telemetry aggregation)."""
         return self._endpoints.values()
 
-    def _receivers_of(self, kind: str) -> List[Tuple[Address, Optional[Endpoint]]]:
-        """Every endpoint in join order, ``None`` where it does not handle ``kind``."""
-        table = self._receivers.get(kind)
+    def _segments_of(self, kind: str) -> _Segments:
+        """The receiver table of ``kind``: ``(segments, tail, runs)``."""
+        table = self._segments.get(kind)
         if table is None:
-            table = self._receivers[kind] = [
-                (address, endpoint if endpoint.kinds is None or kind in endpoint.kinds else None)
-                for address, endpoint in self._endpoints.items()
-            ]
+            segments: List[Tuple[int, Address, Endpoint]] = []
+            runs: Dict[Address, int] = {}
+            skip = 0
+            for address, endpoint in self._endpoints.items():
+                if endpoint.kinds is None or kind in endpoint.kinds:
+                    segments.append((skip, address, endpoint))
+                    skip = 0
+                else:
+                    runs[address] = len(segments)
+                    skip += 1
+            table = self._segments[kind] = (segments, skip, runs)
         return table
 
     # ------------------------------------------------------------------ lossy links
@@ -390,14 +413,13 @@ class Network:
         sender = message.sender
         loss_p = self._loss_p
         cuts = self._cut_links
-        receivers = self._receivers_of(message.kind)
         filtered = 0
-        # Every non-sender endpoint goes through the same cut check and loss
-        # and delay draws as under broadcast delivery; only the post is skipped
-        # for a non-subscriber (``endpoint is None``).
         if loss_p or cuts:
+            # Loss outcomes decide how many delays are drawn: receiver by
+            # receiver, exactly as under broadcast delivery.
+            kind = message.kind
             loss_rand = self._loss_rand
-            for address, endpoint in receivers:
+            for address, endpoint in self._endpoints.items():
                 if address == sender:
                     continue
                 if cuts and frozenset((sender, address)) in cuts:
@@ -407,18 +429,34 @@ class Network:
                     self.link_losses += 1
                     continue
                 delay = min_delay + delay_span * rand()
-                if endpoint is None:
+                kinds = endpoint.kinds
+                if kinds is None or kind in kinds:
+                    post(delay, endpoint.deliver, message)
+                else:
                     filtered += 1
-                    continue
-                post(delay, endpoint.deliver, message)
         else:
-            for address, endpoint in receivers:
-                if endpoint is None:
-                    if address != sender:
-                        rand()
-                        filtered += 1
-                elif address != sender:
+            segments, tail, runs = self._segments_of(message.kind)
+            run = runs.get(sender)
+            if run is not None:
+                # A non-subscriber sender shortens its own run by one.
+                if run == len(segments):
+                    tail -= 1
+                else:
+                    segments = segments.copy()
+                    skip, address, endpoint = segments[run]
+                    segments[run] = (skip - 1, address, endpoint)
+            # One ``random()`` takes two 32-bit words: ``skip << 6`` bits skip
+            # ``skip`` delay draws in one C call.
+            skip_words = self._skip_words
+            for skip, address, endpoint in segments:
+                if skip:
+                    skip_words(skip << 6)
+                    filtered += skip
+                if address != sender:
                     post(min_delay + delay_span * rand(), endpoint.deliver, message)
+            if tail:
+                skip_words(tail << 6)
+                filtered += tail
         self.filtered += filtered
         return True
 
@@ -434,7 +472,7 @@ class Network:
         for endpoint in self._endpoints.values():
             endpoint._handler = None
         self._endpoints.clear()
-        self._receivers.clear()
+        self._segments.clear()
         self.stats.clear()
 
     # ------------------------------------------------------------------ queries

@@ -12,6 +12,9 @@ from typing import Any, Callable, List
 
 from repro.sim.engine import EventHandle, Simulator
 
+#: :meth:`Process.after` never prunes a list of owned handles shorter than this.
+_MIN_PRUNE = 256
+
 
 class Process:
     """Base class for simulation components with a lifecycle."""
@@ -22,6 +25,10 @@ class Process:
         self.started = False
         self.stopped = False
         self._owned_handles: List[EventHandle] = []
+        # Spent handles are pruned once the list outgrows this length: twice
+        # what survived the last prune, so each O(n) prune is paid for by
+        # the n appends since it (amortised O(1) per :meth:`after`).
+        self._prune_at = _MIN_PRUNE
 
     # ------------------------------------------------------------------ lifecycle
     def start(self) -> None:
@@ -70,9 +77,13 @@ class Process:
     def after(self, delay: float, callback: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule a callback owned by this process (cancelled on :meth:`stop`)."""
         handle = self.sim.schedule(delay, callback, *args)
-        self._owned_handles.append(handle)
-        if len(self._owned_handles) > 256:
-            self._owned_handles = [h for h in self._owned_handles if h.active]
+        owned = self._owned_handles
+        owned.append(handle)
+        if len(owned) > self._prune_at:
+            # Spent handles kept until now are harmless: cancelling a fired
+            # or cancelled event in :meth:`stop` is a no-op.
+            owned = self._owned_handles = [h for h in owned if h.active]
+            self._prune_at = max(_MIN_PRUNE, 2 * len(owned))
         return handle
 
     def trace(self, event: str, **fields: Any) -> None:

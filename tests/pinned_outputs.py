@@ -8,6 +8,11 @@ that count that work.  :func:`broadcast_delivery` restores the unfiltered
 reference (every endpoint receives every kind), under which the fixtures
 still match byte for byte.  It exists only here: the program has no option
 for it.
+
+A multicast copy skips each run of non-subscribers with one
+``getrandbits`` call instead of drawing and discarding a delay per
+receiver.  :func:`per_draw_delivery` restores the per-receiver draw loop,
+which must give the same run in every field, cost counters included.
 """
 
 import contextlib
@@ -161,3 +166,51 @@ def broadcast_delivery():
         yield
     finally:
         Network.join = join
+
+
+def _emit_per_draw(self, message, sender_ep, state, copies):
+    """``Network._emit_multicast_copy`` as it was before skip-ahead.
+
+    Every non-sender endpoint, in join order, runs the cut check and the
+    loss and delay draws; only subscribers are posted to.
+    """
+    if self._endpoints.get(message.sender) is not sender_ep:
+        return False
+    if not sender_ep.interface.can_send():
+        sender_ep.interface.counters.dropped_tx += 1
+        return False
+    if not state["recorded"]:
+        state["recorded"] = True
+        self.record_send(message, copies)
+    sender_ep.interface.counters.sent += 1
+    config = self.config
+    sender = message.sender
+    for address, endpoint in self._endpoints.items():
+        if address == sender:
+            continue
+        if self._cut_links and frozenset((sender, address)) in self._cut_links:
+            self.link_cut_drops += 1
+            continue
+        if self._loss_p and self._loss_rand() < self._loss_p:
+            self.link_losses += 1
+            continue
+        delay = config.min_delay + (config.max_delay - config.min_delay) * self._rand()
+        if endpoint.kinds is None or message.kind in endpoint.kinds:
+            self.sim.post(delay, endpoint.deliver, message)
+        else:
+            self.filtered += 1
+    return True
+
+
+@contextlib.contextmanager
+def per_draw_delivery():
+    """Draw one delay per multicast receiver, as before skip-ahead.
+
+    It patches this process only, so use it with serial runs.
+    """
+    emit = Network._emit_multicast_copy
+    Network._emit_multicast_copy = _emit_per_draw
+    try:
+        yield
+    finally:
+        Network._emit_multicast_copy = emit

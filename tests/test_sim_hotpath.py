@@ -5,13 +5,15 @@ events share one calendar and fire in one total order (program order at
 equal time and priority), Event cancel/fired state transitions,
 fire-and-forget posting, and — critically — that lazy heap compaction keeps
 the *same list object*, because the engine's run loop aliases the heap for
-the whole run.
+the whole run.  A process holding thousands of live handles pays amortised
+O(1) bookkeeping per :meth:`~repro.sim.process.Process.after`.
 """
 
 import pytest
 
-from repro.sim.engine import SimulationError, Simulator
+from repro.sim.engine import EventHandle, SimulationError, Simulator
 from repro.sim.events import Event, EventQueue
+from repro.sim.process import Process
 from repro.sim.timers import OneShotTimer, PeriodicTimer
 
 
@@ -251,3 +253,32 @@ def test_periodic_timer_stopped_from_its_callback_stays_stopped():
     sim.run(until=50.0)
     assert ticks == [10.0]
     assert not timer.running and sim.pending_events == 0
+
+
+# --------------------------------------------------------------- process handles
+def test_after_prunes_owned_handles_in_amortised_linear_time(monkeypatch):
+    checks = 0
+    active = EventHandle.active.fget
+
+    def counted(handle):
+        nonlocal checks
+        checks += 1
+        return active(handle)
+
+    monkeypatch.setattr(EventHandle, "active", property(counted))
+    sim = Simulator()
+    process = Process(sim, "holder")
+    n = 5000
+    # Half the handles fire before the rest are made: the owned list holds
+    # spent handles as well as live ones.
+    early = [process.after(float(i), lambda: None) for i in range(n // 2)]
+    sim.run(until=float(n))
+    live = [process.after(float(i), lambda: None) for i in range(n)]
+    assert checks <= 4 * n  # a rescan on every call would be O(n**2)
+    monkeypatch.undo()
+
+    process.stop()
+    assert all(handle._event.fired for handle in early)
+    assert all(handle._event.cancelled for handle in live)
+    assert sim._queue.cancelled_total == n
+    assert len(sim._queue) == 0
