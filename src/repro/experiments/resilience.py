@@ -33,6 +33,7 @@ that fires once).
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import signal
 import threading
@@ -98,8 +99,9 @@ class ResiliencePolicy:
 
     def validate(self) -> "ResiliencePolicy":
         """Raise :class:`ValueError` on an inconsistent policy."""
-        if self.cell_timeout is not None and self.cell_timeout <= 0:
-            raise ValueError(f"cell_timeout must be positive, got {self.cell_timeout!r}")
+        timeout = self.cell_timeout
+        if timeout is not None and not (math.isfinite(timeout) and timeout > 0):
+            raise ValueError(f"cell_timeout must be positive and finite, got {timeout!r}")
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries!r}")
         if self.max_cell_failures < 0:

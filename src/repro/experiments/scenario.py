@@ -9,6 +9,7 @@ with equal specs produce identical results, event for event.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Optional
 
@@ -62,8 +63,10 @@ class ScenarioSpec:
             raise ValueError(f"failure_rate must be in [0, 1], got {self.failure_rate!r}")
         if self.n_users < 1:
             raise ValueError("n_users must be >= 1")
-        if self.change_time <= 0:
-            raise ValueError("change_time must be positive")
+        if not math.isfinite(self.change_time) or self.change_time <= 0:
+            raise ValueError(f"change_time must be positive and finite, got {self.change_time!r}")
+        if not math.isfinite(self.deadline):
+            raise ValueError(f"deadline must be finite, got {self.deadline!r}")
         if self.deadline <= self.change_time:
             raise ValueError("deadline must be after the change time")
         # Imported lazily: the scenario registry builds on this module.

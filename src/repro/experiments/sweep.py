@@ -158,15 +158,20 @@ class SweepSpec:
             raise ValueError("sweep needs at least one failure rate")
         if self.runs_per_cell < 1:
             raise ValueError("runs_per_cell must be >= 1")
+        # A repeated grid value would run the same cells twice under one
+        # cell key, the identity the checkpoint journal relies on.
         if len(set(self.users_grid)) != len(self.users_grid):
             raise ValueError(f"duplicate sizes in users grid {self.users_grid!r}")
+        if len(set(self.failure_rates)) != len(self.failure_rates):
+            raise ValueError(f"duplicate failure rates {self.failure_rates!r}")
         for n in self.users_grid:
             if n < 1:
                 raise ValueError(f"users grid sizes must be >= 1, got {n!r}")
-        for system in self.systems:
-            # Raises UnknownSystemError / ValueError with the known names;
-            # accepts bare names and parameterised tokens alike.
-            registry.resolve(system)
+        # Raises UnknownSystemError / ValueError with the known names;
+        # accepts bare names and parameterised tokens alike.
+        tokens = [registry.resolve(system).token for system in self.systems]
+        if len(set(tokens)) != len(tokens):
+            raise ValueError(f"duplicate systems {tuple(self.systems)!r}")
         self.scenario(self.systems[0], self.failure_rates[0], 0).validate()
         return self
 

@@ -27,6 +27,7 @@ messages; the grammar itself is identical for every front end.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Dict, List, Mapping, Tuple
 
 
@@ -40,7 +41,11 @@ def format_option_value(value: Any) -> str:
 
 
 def parse_option_value(text: str) -> Any:
-    """Parse one option value: ``true``/``false``, int, float, or string."""
+    """Parse one option value: ``true``/``false``, int, finite float, or string.
+
+    ``nan`` and ``inf`` parse as floats but are rejected: no option means
+    anything at a non-finite value, and a NaN would reach the JSON output.
+    """
     lowered = text.lower()
     if lowered == "true":
         return True
@@ -51,10 +56,12 @@ def parse_option_value(text: str) -> Any:
     except ValueError:
         pass
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
-        pass
-    return text
+        return text
+    if not math.isfinite(value):
+        raise ValueError(f"option value {text!r} is not a finite number")
+    return value
 
 
 def canonical_token(name: str, options: Mapping[str, Any]) -> str:
